@@ -29,7 +29,7 @@ type ('msg, 'obs) t = {
   mutable kept : int;
   mutable count : int; (* total recorded, including dropped *)
   mutable dropped : int;
-  mutable hooks : (('msg, 'obs) entry -> unit) list; (* reversed *)
+  mutable hooks : (('msg, 'obs) entry -> unit) list; (* run order *)
 }
 
 let create ?capacity () =
@@ -47,12 +47,12 @@ let create ?capacity () =
     hooks = [];
   }
 
-let on_record t f = t.hooks <- f :: t.hooks
+(* registration is rare and recording is hot, so the list is kept in run
+   order here rather than reversed on every record *)
+let on_record t f = t.hooks <- t.hooks @ [ f ]
 
 let record t e =
-  (match t.hooks with
-  | [] -> ()
-  | hooks -> List.iter (fun f -> f e) (List.rev hooks));
+  (match t.hooks with [] -> () | hooks -> List.iter (fun f -> f e) hooks);
   (match t.capacity with
   | None -> t.rev_entries <- e :: t.rev_entries
   | Some cap ->

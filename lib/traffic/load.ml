@@ -92,28 +92,47 @@ let weak_cfg = Weak_protocol.default_config
 let committee_cfg =
   { Weak_protocol.default_config with tm = Weak_protocol.Committee { f = 1 } }
 
-let params_for (w : Workload.t) proto =
+
+let params_for (w : Workload.t) proto hops =
   let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
-  Params.derive
-    { Params.hops = w.hops; delta; sigma; drift_ppm = drift; margin }
+  Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
 
 (* ------------------------------------------------------------------ *)
 
-type pay = {
-  proto : Workload.proto;
-  mutable arrived_at : int;
-  mutable admitted_at : int;
+(* One protocol instance: one split of a payment (on a linear chain, the
+   whole payment), running the plain linear protocol over the shared books
+   of its path. Everything but the accounting arrays is configured at
+   admission, once the path is known. *)
+type inst = {
+  mutable hops : int;
+  mutable value : int;
+  mutable path : int array;  (** book indices along the path *)
+  mutable amounts : int array;  (** leg amounts, commissions included *)
+  mutable bs : int;  (** block size for this path length *)
+  mutable mk : (int -> (Msg.t, Obs.t) Engine.handlers) option;
+      (** per-role handler factory; [Some] once admitted *)
   mutable settled_at : int;  (** every customer has Terminated *)
   mutable paid_at : int;  (** first Released to Bob *)
-  mutable closed : bool;  (** scheduler stopped tracking it *)
-  mutable marked : outcome option;  (** Rejected/Stuck, decided in-run *)
+  mutable counted : bool;  (** settlement counted toward the payment *)
   flows : int array;  (** net ledger flow per customer index *)
   terms : bool array;
   mutable term_count : int;
   mutable alice_cert : bool;
   mutable bob_cert_issued : bool;
   mutable rejections : (int * string) list;
-  legs_reserved : bool array;
+  deposited : int array;  (** per leg: deposits drawn from the payer *)
+  refunded : int array;  (** per leg: refunds returned to the payer *)
+  held : bool array;  (** per leg: an admission counter is still held *)
+}
+
+type payment = {
+  proto : Workload.proto;
+  mutable arrived_at : int;
+  mutable admitted_at : int;
+  mutable closed : bool;  (** scheduler stopped tracking it *)
+  mutable splits : int list;  (** instance ids, ascending *)
+  mutable no_route : bool;
+  mutable settled : int;  (** instances settled so far *)
 }
 
 let percentile sorted q =
@@ -131,55 +150,86 @@ let is_liquidity_rejection what =
   String.length what >= String.length prefix
   && String.sub what 0 (String.length prefix) = prefix
 
-let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
-    ?causal ?prof ?monitor ?sampler ?recorder ~(workload : Workload.t) ~seed
-    () =
+let book_ok b =
+  (match Ledger.Book.audit b with Ok () -> true | Error _ -> false)
+  && List.for_all (fun (_, bal) -> bal >= 0) (Ledger.Book.accounts b)
+
+let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
+    ?prof ?monitor ?sampler ?recorder ~(workload : Workload.t) ~seed () =
+  (match Workload.validate workload with
+  | Ok () -> ()
+  | Error e -> invalid_arg ("Load.run: " ^ e));
   let wall_t0 = Fleet.now_ns () in
   let w = workload in
-  let hops = w.hops in
+  let module RT = Routing.Topology in
+  let module RR = Routing.Router in
+  let graph = w.topology in
   let protos = Workload.assign_mix w ~seed in
   let arrivals = Workload.arrivals w ~seed in
+  (* a linear chain is the single path of [hops] legs; on a graph the pid
+     stride must fit the longest simple path any route can take *)
+  let lmax = match graph with None -> w.hops | Some g -> g.RT.nodes - 1 in
+  let max_splits = w.splits in
+  let instances = w.payments * max_splits in
   let stride =
-    List.fold_left (fun acc (p, _) -> max acc (block_size ~hops p)) 0 w.mix
+    List.fold_left (fun acc (p, _) -> max acc (block_size ~hops:lmax p)) 0 w.mix
   in
   (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
-     every payment block (one crashed escrow host is down for everyone). *)
+     every instance block (one crashed escrow host is down for everyone). *)
   (match Faults.Fault_plan.validate plan ~nprocs:stride with
   | Ok () -> ()
   | Error e -> invalid_arg ("Load.run: bad fault plan: " ^ e));
-  let topo = Topology.create ~hops in
-  (* Shared ledgers: books.(i) is escrow host e_i's book; customer c_i's
-     funding there is what all payments contend for. *)
-  let amounts =
-    Array.init hops (fun i -> w.value + (w.commission * (hops - 1 - i)))
+  (* The liquidity model. A linear chain's book i is escrow host e_i's:
+     customer c_i's funding there is what all payments contend for, and
+     under [Reserve] admission holds a counter per leg until the deposit
+     lands. A graph gets one book per edge, where a distinguished funder
+     account holds the edge's liquidity: admission moves each leg's amount
+     from the funder to the split's local payer account (the transfer IS
+     the reservation), and closing a settled split sweeps the unspent part
+     back. The funder's balance is therefore always the edge's spendable
+     liquidity, and per-book conservation holds by construction. *)
+  let book_kind = match graph with None -> "escrow" | Some _ -> "edge" in
+  let funder = 1_000_000 in
+  let chain_amounts =
+    Array.init w.hops (fun i -> w.value + (w.commission * (w.hops - 1 - i)))
   in
-  let liquidity_units = if w.liquidity = 0 then w.payments else w.liquidity in
   let books =
-    Array.init hops (fun i ->
-        let b = Ledger.Book.create ~currency:(Printf.sprintf "cur%d" i) in
-        Ledger.Book.open_account b ~owner:(Topology.customer topo i)
-          ~balance:(liquidity_units * amounts.(i));
-        Ledger.Book.open_account b
-          ~owner:(Topology.customer topo (i + 1))
-          ~balance:0;
-        Ledger.Book.open_account b ~owner:(Topology.escrow topo i) ~balance:0;
-        b)
+    match graph with
+    | None ->
+        let units = if w.liquidity = 0 then w.payments else w.liquidity in
+        let topo = Topology.create ~hops:w.hops in
+        Array.init w.hops (fun i ->
+            let b = Ledger.Book.create ~currency:(Printf.sprintf "cur%d" i) in
+            Ledger.Book.open_account b ~owner:(Topology.customer topo i)
+              ~balance:(units * chain_amounts.(i));
+            Ledger.Book.open_account b
+              ~owner:(Topology.customer topo (i + 1))
+              ~balance:0;
+            Ledger.Book.open_account b ~owner:(Topology.escrow topo i)
+              ~balance:0;
+            b)
+    | Some g ->
+        let ample = w.payments * (w.value + RT.total_commission g) in
+        Array.init (Array.length g.RT.edges) (fun e ->
+            let b = Ledger.Book.create ~currency:(Printf.sprintf "edge%d" e) in
+            let liq = g.RT.edges.(e).RT.liquidity in
+            Ledger.Book.open_account b ~owner:funder
+              ~balance:(if liq = 0 then ample else liq);
+            b)
   in
-  let envs =
-    Array.init w.payments (fun k ->
-        Env.make ~topo ~params:(params_for w protos.(k)) ~payment:k
-          ~value:w.value ~commission:w.commission ~seed:(seed + 101 + k)
-          ~books ())
-  in
+  let avail e = Ledger.Book.balance books.(e) funder in
+  let counters = graph = None && w.policy = Workload.Reserve in
+  let reserved = Array.make (Array.length books) 0 in
+  let router = Option.map (fun g -> RR.create ~strategy:w.route g) graph in
   (* A protocol's settle horizon, for the derived stuck deadline. Scratch
      envs (private books) only feed window derivation. *)
   let proto_horizon proto =
     match proto with
-    | Workload.Sync | Workload.Naive ->
-        (params_for w proto).Params.horizon
+    | Workload.Sync | Workload.Naive -> (params_for w proto lmax).Params.horizon
     | Workload.Htlc ->
         let env0 =
-          Env.make ~topo ~params:(params_for w proto) ~value:w.value
+          Env.make ~topo:(Topology.create ~hops:lmax)
+            ~params:(params_for w proto lmax) ~value:w.value
             ~commission:w.commission ~seed:(seed + 9991) ()
         in
         Htlc_protocol.window_of env0 (Htlc_protocol.default_config env0) 0
@@ -211,7 +261,7 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
     last_arrival + w.patience + (2 * stuck_eff) + (20 * delta) + gst_slack
   in
   let max_events =
-    (1000 * w.payments) + 100_000
+    (1000 * instances) + 100_000
     (* committee consensus traffic is quadratic in committee size per
        certified slot; give it headroom without touching the budget of
        committee-less runs *)
@@ -243,12 +293,12 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
     Option.map
       (fun inj ->
         let tam = Faults.Injector.tamper inj in
-        (* fault plans address payment-block hosts; the controller (pid 0)
-           and the shared committee block (pids past the payment blocks)
+        (* fault plans address instance-block hosts; the controller (pid 0)
+           and the shared committee block (pids past the instance blocks)
            are outside their pid space and stay exempt *)
-        let payment_limit = 1 + (w.payments * stride) in
+        let block_limit = 1 + (instances * stride) in
         fun ~send_time ~src ~dst ~tag ->
-          if src = 0 || dst = 0 || src >= payment_limit || dst >= payment_limit
+          if src = 0 || dst = 0 || src >= block_limit || dst >= block_limit
           then [ Network.Intact ]
           else
             tam ~send_time
@@ -270,129 +320,294 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
     Engine.create ~tag_of:Msg.tag ~network ~sigma ?trace_capacity:trace_cap
       ?causal ?prof ?monitor ?sampler ?recorder ~seed ()
   in
-  (* --- per-payment accounting state, fed by a trace hook --- *)
+  (* --- per-instance accounting state, fed by a trace hook --- *)
+  let insts =
+    Array.init instances (fun _ ->
+        {
+          hops = 0;
+          value = 0;
+          path = [||];
+          amounts = [||];
+          bs = 0;
+          mk = None;
+          settled_at = -1;
+          paid_at = -1;
+          counted = false;
+          flows = Array.make (lmax + 1) 0;
+          terms = Array.make (lmax + 1) false;
+          term_count = 0;
+          alice_cert = false;
+          bob_cert_issued = false;
+          rejections = [];
+          deposited = Array.make lmax 0;
+          refunded = Array.make lmax 0;
+          held = Array.make lmax false;
+        })
+  in
   let pays =
     Array.init w.payments (fun k ->
         {
           proto = protos.(k);
           arrived_at = -1;
           admitted_at = -1;
-          settled_at = -1;
-          paid_at = -1;
           closed = false;
-          marked = None;
-          flows = Array.make (hops + 1) 0;
-          terms = Array.make (hops + 1) false;
-          term_count = 0;
-          alice_cert = false;
-          bob_cert_issued = false;
-          rejections = [];
-          legs_reserved = Array.make hops false;
+          splits = [];
+          no_route = false;
+          settled = 0;
         })
   in
-  let reserved = Array.make hops 0 in
   let messages = ref 0 in
-  (* causal anchors per payment: the arrival note (blame root) and the
-     deliver that paid Bob (blame sink), captured from the dispatch context *)
+  (* causal anchors: each payment's arrival note (blame root) and, per
+     instance, the deliver that paid Bob (blame sink), captured from the
+     dispatch context *)
   let roots = Array.make w.payments (-1) in
-  let paid_nodes = Array.make w.payments (-1) in
-  let esc_idx lp =
-    if lp > hops && lp <= 2 * hops then Some (lp - hops - 1) else None
-  in
+  let paid_nodes = Array.make instances (-1) in
   Trace.on_record (Engine.trace engine) (fun entry ->
       match entry with
       | Trace.Sent _ -> incr messages
       | Trace.Observed { t; pid; obs } when pid >= 1 ->
-          let k = (pid - 1) / stride in
-          let p = pays.(k) in
-          (match obs with
-          | Obs.Deposited { escrow; depositor; amount; _ } -> (
-              if depositor >= 0 && depositor <= hops then
-                p.flows.(depositor) <- p.flows.(depositor) - amount;
-              match esc_idx escrow with
-              | Some i when p.legs_reserved.(i) ->
-                  p.legs_reserved.(i) <- false;
-                  reserved.(i) <- reserved.(i) - amounts.(i)
-              | _ -> ())
-          | Obs.Released { to_; amount; _ } ->
-              if to_ >= 0 && to_ <= hops then begin
-                p.flows.(to_) <- p.flows.(to_) + amount;
-                if to_ = hops && p.paid_at < 0 then begin
-                  p.paid_at <- t;
-                  paid_nodes.(k) <- Engine.current_node engine
+          let id = (pid - 1) / stride in
+          if id < instances then begin
+            let ins = insts.(id) in
+            let h = ins.hops in
+            match obs with
+            | Obs.Deposited { escrow; depositor; amount; _ } ->
+                (* the depositor index IS the leg index: customer i
+                   deposits only at escrow i *)
+                if depositor >= 0 && depositor <= h then begin
+                  ins.flows.(depositor) <- ins.flows.(depositor) - amount;
+                  if depositor < h then
+                    ins.deposited.(depositor) <-
+                      ins.deposited.(depositor) + amount
+                end;
+                (* the deposit consumes its leg's admission counter *)
+                let i = escrow - h - 1 in
+                if i >= 0 && i < h && ins.held.(i) then begin
+                  ins.held.(i) <- false;
+                  reserved.(ins.path.(i)) <-
+                    reserved.(ins.path.(i)) - ins.amounts.(i)
                 end
-              end
-          | Obs.Refunded { depositor; amount; _ } ->
-              if depositor >= 0 && depositor <= hops then
-                p.flows.(depositor) <- p.flows.(depositor) + amount
-          | Obs.Cert_received
-              { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
-            when who = 0 ->
-              p.alice_cert <- true
-          | Obs.Cert_issued { by; _ } when by = hops ->
-              p.bob_cert_issued <- true
-          | Obs.Terminated { pid = who; _ }
-            when who >= 0 && who <= hops && not p.terms.(who) ->
-              p.terms.(who) <- true;
-              p.term_count <- p.term_count + 1;
-              if p.term_count = hops + 1 && p.settled_at < 0 then
-                p.settled_at <- t
-          | Obs.Rejected { pid = who; what } ->
-              p.rejections <- (who, what) :: p.rejections
-          | _ -> ())
+            | Obs.Released { to_; amount; _ } ->
+                if to_ >= 0 && to_ <= h then begin
+                  ins.flows.(to_) <- ins.flows.(to_) + amount;
+                  if to_ = h && ins.paid_at < 0 then begin
+                    ins.paid_at <- t;
+                    paid_nodes.(id) <- Engine.current_node engine
+                  end
+                end
+            | Obs.Refunded { depositor; amount; _ } ->
+                if depositor >= 0 && depositor <= h then begin
+                  ins.flows.(depositor) <- ins.flows.(depositor) + amount;
+                  if depositor < h then
+                    ins.refunded.(depositor) <-
+                      ins.refunded.(depositor) + amount
+                end
+            | Obs.Cert_received
+                { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
+              when who = 0 ->
+                ins.alice_cert <- true
+            | Obs.Cert_issued { by; _ } when by = h ->
+                ins.bob_cert_issued <- true
+            | Obs.Terminated { pid = who; _ }
+              when who >= 0 && who <= h && not ins.terms.(who) ->
+                ins.terms.(who) <- true;
+                ins.term_count <- ins.term_count + 1;
+                if ins.term_count = h + 1 && ins.settled_at < 0 then
+                  ins.settled_at <- t
+            | Obs.Rejected { pid = who; what } ->
+                ins.rejections <- (who, what) :: ins.rejections
+            | _ -> ()
+          end
       | _ -> ());
+  (* --- shared batching committee: one block after the instance blocks --- *)
+  let shared_committee =
+    Option.map
+      (fun c ->
+        (* [run] validated the workload, so the spec builds *)
+        let qs = Result.get_ok (Workload.quorum_system c) in
+        let n = c.Workload.c_size in
+        let creg = Xcrypto.Auth.create ~seed:(seed + 71) in
+        let signers = Array.init n (fun i -> Xcrypto.Auth.register creg i) in
+        let cbase = 1 + (instances * stride) in
+        let part_count = (2 * w.hops) + 1 in
+        let ccfg =
+          {
+            Committee_tm.qs;
+            registry = creg;
+            batch_cap = c.Workload.c_batch;
+            pipeline = c.Workload.c_pipeline;
+            base_timeout = weak_cfg.Weak_protocol.tm_base_timeout;
+            reply_to =
+              (fun item ->
+                if item >= 0 && item < w.payments then
+                  Array.init part_count (fun l -> 1 + (item * stride) + l)
+                else [||]);
+            hops_of = (fun _ -> w.hops);
+          }
+        in
+        (c, ccfg, signers, cbase))
+      w.committee
+  in
+  let handlers_for proto env id =
+    match proto with
+    | Workload.Sync | Workload.Naive ->
+        fun l ->
+          fst (Anta.Executor.handlers (Sync_protocol.automaton_for env l) ())
+    | Workload.Htlc ->
+        let cfg = Htlc_protocol.default_config env in
+        let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + id) in
+        Htlc_protocol.handlers_for env cfg preimage
+    | Workload.Weak_single -> Weak_protocol.handlers_for env weak_cfg
+    | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
+    | Workload.Shared ->
+        (* shared payments have no per-payment TM: their reports go to the
+           external committee, which validation guarantees exists *)
+        let c, ccfg, signers, cbase = Option.get shared_committee in
+        Weak_protocol.handlers_for env
+          {
+            weak_cfg with
+            Weak_protocol.tm =
+              Weak_protocol.Shared
+                {
+                  pids = Array.init c.Workload.c_size (fun i -> cbase + i);
+                  item = id;
+                  verify = Committee_tm.verify ccfg ~signer:signers.(0);
+                };
+          }
+    | Workload.Atomic ->
+        Atomic_protocol.handlers_for env Atomic_protocol.default_config
+  in
   (* --- controller (pid 0): arrivals, admission, deadlines --- *)
   let queue = Queue.create () in
   let in_flight = ref 0 in
   let max_in_flight = ref 0 in
   let admitted = ref 0 in
+  let total_paths = ref 0 in
+  let split_payments = ref 0 in
   let arr_label k = "arr#" ^ string_of_int k in
   let pat_label k = "pat#" ^ string_of_int k in
   let stuck_label k = "stuck#" ^ string_of_int k in
+  (* the splits payment [k] runs over — (path, value, leg amounts) each —
+     or [None] while the liquidity cannot carry it *)
+  let chain = [ (Array.init w.hops Fun.id, w.value, chain_amounts) ] in
+  let route k =
+    match router with
+    | Some r -> (
+        match RR.route r ~avail ~value:w.value ~max_splits with
+        | Error _ ->
+            pays.(k).no_route <- true;
+            None
+        | Ok splits ->
+            Some
+              (List.map
+                 (fun (s : RR.split) ->
+                   ( Array.of_list s.RR.path,
+                     s.RR.value,
+                     RR.leg_amounts (RR.topology r) ~path:s.RR.path
+                       ~value:s.RR.value ))
+                 splits))
+    | None ->
+        let fits = ref true in
+        if counters then
+          Array.iteri
+            (fun i b ->
+              if Ledger.Book.balance b i - reserved.(i) < chain_amounts.(i)
+              then fits := false)
+            books;
+        if !fits then Some chain else None
+  in
+  let reserve ins =
+    Array.iteri
+      (fun i b ->
+        if graph <> None then
+          match
+            Ledger.Book.transfer books.(b) ~src:funder ~dst:i
+              ~amount:ins.amounts.(i)
+          with
+          | Ok () -> ()
+          | Error _ ->
+              (* the router checked capacity against the funder balance in
+                 this same handler; leave any breakage to the conservation
+                 audit *)
+              ()
+        else if counters then begin
+          ins.held.(i) <- true;
+          reserved.(b) <- reserved.(b) + ins.amounts.(i)
+        end)
+      ins.path
+  in
+  (* give a settled instance's unspent collateral back: its held counters,
+     or, on a graph, the reserved-but-undeposited plus refunded value of
+     each leg's local payer account. That account may pool several live
+     splits' money (deposits draw fungibly), but each split's term is
+     non-negative and their sum is the account balance, so sweeping one
+     split's term is always covered. *)
+  let release id =
+    let ins = insts.(id) in
+    Array.iteri
+      (fun i b ->
+        if graph <> None then begin
+          let back = ins.amounts.(i) - ins.deposited.(i) + ins.refunded.(i) in
+          if back > 0 then
+            match
+              Ledger.Book.transfer books.(b) ~src:i ~dst:funder ~amount:back
+            with
+            | Ok () -> ()
+            | Error _ -> ()
+        end
+        else if ins.held.(i) then begin
+          ins.held.(i) <- false;
+          reserved.(b) <- reserved.(b) - ins.amounts.(i)
+        end)
+      ins.path
+  in
   let try_admit ctx k =
     let p = pays.(k) in
-    let cap_ok = w.cap = 0 || !in_flight < w.cap in
-    let liq_ok =
-      match w.policy with
-      | Workload.Optimistic -> true
-      | Workload.Reserve ->
-          let ok = ref true in
-          for i = 0 to hops - 1 do
-            if
-              Ledger.Book.balance books.(i) (Topology.customer topo i)
-              - reserved.(i)
-              < amounts.(i)
-            then ok := false
-          done;
-          !ok
-    in
-    cap_ok && liq_ok
-    && begin
-         (match w.policy with
-         | Workload.Reserve ->
-             for i = 0 to hops - 1 do
-               p.legs_reserved.(i) <- true;
-               reserved.(i) <- reserved.(i) + amounts.(i)
-             done
-         | Workload.Optimistic -> ());
-         p.admitted_at <- Engine.now engine;
-         (* Queue edge from the arrival note: the gap the walk crosses here
-            is exactly this payment's wait behind admission *)
-         ignore
-           (Engine.causal_note ctx ~after:roots.(k) ~trace:k
-              ~label:("admit#" ^ string_of_int k)
-              ());
-         incr admitted;
-         incr in_flight;
-         if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-         let base = 1 + (k * stride) in
-         for l = 0 to block_size ~hops p.proto - 1 do
-           Engine.send ctx ~dst:(base + l) Msg.Start
-         done;
-         Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label k);
-         Engine.cancel_timer ctx ~label:(pat_label k);
-         true
-       end
+    (w.cap = 0 || !in_flight < w.cap)
+    &&
+    match route k with
+    | None -> false
+    | Some splits ->
+        p.admitted_at <- Engine.now engine;
+        incr admitted;
+        incr in_flight;
+        if !in_flight > !max_in_flight then max_in_flight := !in_flight;
+        total_paths := !total_paths + List.length splits;
+        if List.length splits > 1 then incr split_payments;
+        List.iteri
+          (fun j (path, value, amounts) ->
+            let id = (k * max_splits) + j in
+            let h = Array.length path in
+            let env =
+              Env.make ~topo:(Topology.create ~hops:h)
+                ~params:(params_for w p.proto h) ~payment:id ~value ~amounts
+                ~seed:(seed + 101 + id)
+                ~books:(Array.map (fun b -> books.(b)) path)
+                ()
+            in
+            let ins = insts.(id) in
+            ins.hops <- h;
+            ins.value <- value;
+            ins.path <- path;
+            ins.amounts <- amounts;
+            ins.bs <- block_size ~hops:h p.proto;
+            reserve ins;
+            ins.mk <- Some (handlers_for p.proto env id);
+            p.splits <- p.splits @ [ id ];
+            (* Queue edge from the arrival note: the gap the walk crosses
+               here is exactly this payment's wait behind admission *)
+            ignore
+              (Engine.causal_note ctx ~after:roots.(k) ~trace:id
+                 ~label:("admit#" ^ string_of_int id)
+                 ());
+            let base = 1 + (id * stride) in
+            for l = 0 to ins.bs - 1 do
+              Engine.send ctx ~dst:(base + l) Msg.Start
+            done)
+          splits;
+        Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label k);
+        Engine.cancel_timer ctx ~label:(pat_label k);
+        true
   in
   let drain ctx =
     let blocked = ref false in
@@ -404,18 +619,17 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
       else blocked := true
     done
   in
-  let close ctx k ~release =
+  (* Settled instances give their collateral back; an unsettled one (a
+     stuck payment's) may still deposit, so its reservations stay locked:
+     releasing them would double-spend the collateral. *)
+  let close ctx k =
     let p = pays.(k) in
     if not p.closed then begin
       p.closed <- true;
       if p.admitted_at >= 0 then decr in_flight;
-      if release then
-        for i = 0 to hops - 1 do
-          if p.legs_reserved.(i) then begin
-            p.legs_reserved.(i) <- false;
-            reserved.(i) <- reserved.(i) - amounts.(i)
-          end
-        done;
+      List.iter
+        (fun id -> if insts.(id).settled_at >= 0 then release id)
+        p.splits;
       Engine.cancel_timer ctx ~label:(stuck_label k);
       (match w.arrival with
       | Workload.Closed { clients; think } ->
@@ -430,7 +644,7 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
   let arrive ctx k =
     pays.(k).arrived_at <- Engine.now engine;
     roots.(k) <-
-      Engine.causal_note ctx ~trace:k
+      Engine.causal_note ctx ~trace:(k * max_splits)
         ~label:("arrive#" ^ string_of_int k)
         ();
     Queue.add k queue;
@@ -459,10 +673,15 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
       on_receive =
         (fun ctx ~src:_ msg ->
           match msg with
-          | Msg.Traffic_done { payment = k } ->
+          | Msg.Traffic_done { payment = id } ->
+              let ins = insts.(id) in
+              let k = id / max_splits in
               let p = pays.(k) in
-              if (not p.closed) && p.settled_at >= 0 then
-                close ctx k ~release:true
+              if (not ins.counted) && ins.settled_at >= 0 then begin
+                ins.counted <- true;
+                p.settled <- p.settled + 1;
+                if p.settled = List.length p.splits then close ctx k
+              end
           | _ -> ());
       on_timer =
         (fun ctx ~label ->
@@ -470,23 +689,8 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
           | [ "arr"; k ] -> arrive ctx (int_of_string k)
           | [ "pat"; k ] ->
               let k = int_of_string k in
-              let p = pays.(k) in
-              if (not p.closed) && p.admitted_at < 0 then begin
-                p.marked <- Some Rejected;
-                close ctx k ~release:false
-              end
-          | [ "stuck"; k ] ->
-              let k = int_of_string k in
-              let p = pays.(k) in
-              if not p.closed then
-                if p.settled_at >= 0 then close ctx k ~release:true
-                else begin
-                  p.marked <- Some Stuck;
-                  (* a stuck payment's un-deposited reservations stay
-                     locked: it may still deposit later, and releasing
-                     them would double-spend the collateral *)
-                  close ctx k ~release:false
-                end
+              if pays.(k).admitted_at < 0 then close ctx k
+          | [ "stuck"; k ] -> close ctx (int_of_string k)
           | _ -> ())
     }
   in
@@ -494,17 +698,22 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
     Engine.add_process engine ~clock:Clock.perfect ~label:"sched" controller
   in
   assert (cpid = 0);
-  (* --- payment blocks --- *)
+  (* --- instance blocks: each process is a buffering shell that builds its
+     role's handlers on Start, once admission has fixed the path --- *)
   let clock_rng = Rng.create ~seed:(seed + 31) in
-  let wrap ~payment ~abs ~is_customer ~skew inner =
+  let wrap ~id ~l ~abs ~skew =
     let started = ref false in
     let reported = ref false in
     let buffered = ref [] in
+    let inner = ref Engine.silent in
     let after_inner ctx =
-      if is_customer && (not !reported) && Engine.is_halted engine abs
+      if
+        l <= insts.(id).hops
+        && (not !reported)
+        && Engine.is_halted engine abs
       then begin
         reported := true;
-        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment })
+        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = id })
       end
     in
     {
@@ -512,148 +721,75 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
       on_receive =
         (fun ctx ~src msg ->
           match msg with
-          | Msg.Start ->
-              if not !started then begin
-                started := true;
-                (* re-anchor the local epoch: the protocol's absolute
-                   local deadlines must count from this payment's own
-                   start, not from engine time 0 *)
-                let num, den = Clock.rate (Engine.clock_of engine abs) in
-                Engine.set_clock engine ~pid:abs
-                  (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den
-                     ());
-                inner.Engine.on_start ctx;
-                let pending = List.rev !buffered in
-                buffered := [];
-                List.iter
-                  (fun (src, m) ->
-                    if not (Engine.is_halted engine abs) then
-                      inner.Engine.on_receive ctx ~src m)
-                  pending;
-                after_inner ctx
-              end
+          | Msg.Start -> (
+              match insts.(id).mk with
+              | Some mk when not !started ->
+                  started := true;
+                  (* re-anchor the local epoch: the protocol's absolute
+                     local deadlines must count from this instance's own
+                     start, not from engine time 0 *)
+                  let num, den = Clock.rate (Engine.clock_of engine abs) in
+                  Engine.set_clock engine ~pid:abs
+                    (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num ~den
+                       ());
+                  let h = mk l in
+                  inner := h;
+                  h.Engine.on_start ctx;
+                  let pending = List.rev !buffered in
+                  buffered := [];
+                  List.iter
+                    (fun (src, m) ->
+                      if not (Engine.is_halted engine abs) then
+                        h.Engine.on_receive ctx ~src m)
+                    pending;
+                  after_inner ctx
+              | _ -> ())
           | _ ->
               if !started then begin
-                inner.Engine.on_receive ctx ~src msg;
+                !inner.Engine.on_receive ctx ~src msg;
                 after_inner ctx
               end
               else buffered := (src, msg) :: !buffered);
       on_timer =
         (fun ctx ~label ->
           if !started then begin
-            inner.Engine.on_timer ctx ~label;
+            !inner.Engine.on_timer ctx ~label;
             after_inner ctx
           end);
     }
   in
-  (* --- shared batching committee: one block after the payment blocks --- *)
-  let shared_committee =
-    match w.committee with
-    | None -> None
-    | Some c ->
-        let n = c.Workload.c_size in
-        let qs =
-          match c.Workload.c_family with
-          | "majority" -> Quorum_system.majority ~n ~f:c.Workload.c_f ()
-          | "weighted" ->
-              Quorum_system.weighted ~weights:(Array.make n 1)
-                ~f:c.Workload.c_f ()
-          | "grid" ->
-              let side = ref 0 in
-              while !side * !side < n do
-                incr side
-              done;
-              if !side * !side <> n then
-                invalid_arg
-                  "Load.run: grid committee size must be a perfect square";
-              Quorum_system.grid ~rows:!side ~cols:!side ~f:c.Workload.c_f ()
-          | fam -> invalid_arg ("Load.run: unknown committee family " ^ fam)
-        in
-        (match Quorum_system.validate qs with
-        | Ok () -> ()
-        | Error e -> invalid_arg ("Load.run: committee: " ^ e));
-        let creg = Xcrypto.Auth.create ~seed:(seed + 71) in
-        let signers = Array.init n (fun i -> Xcrypto.Auth.register creg i) in
-        let cbase = 1 + (w.payments * stride) in
-        let part_count = (2 * hops) + 1 in
-        let ccfg =
-          {
-            Committee_tm.qs;
-            registry = creg;
-            batch_cap = c.Workload.c_batch;
-            pipeline = c.Workload.c_pipeline;
-            base_timeout = weak_cfg.Weak_protocol.tm_base_timeout;
-            reply_to =
-              (fun item ->
-                if item >= 0 && item < w.payments then
-                  Array.init part_count (fun l -> 1 + (item * stride) + l)
-                else [||]);
-            hops_of = (fun _ -> hops);
-          }
-        in
-        Some (c, ccfg, signers, cbase)
+  (* profiler role labels: constant strings, interned only when the engine
+     carries a profiler. A graph instance's path, hence its role layout, is
+     unknown until admission. *)
+  let label ~bs l =
+    if graph <> None then if l = 0 then "alice" else "node"
+    else if l = 0 then "alice"
+    else if l < w.hops then "chloe"
+    else if l = w.hops then "bob"
+    else if l <= 2 * w.hops then "escrow"
+    else if l < bs then "aux"
+    else "idle"
   in
-  let shared_weak_cfg k =
-    match shared_committee with
-    | None -> invalid_arg "Load.run: shared proto without a committee= spec"
-    | Some (c, ccfg, signers, cbase) ->
-        {
-          weak_cfg with
-          Weak_protocol.tm =
-            Weak_protocol.Shared
-              {
-                pids = Array.init c.Workload.c_size (fun i -> cbase + i);
-                item = k;
-                verify = Committee_tm.verify ccfg ~signer:signers.(0);
-              };
-        }
-  in
-  for k = 0 to w.payments - 1 do
-    let env = envs.(k) in
-    let inner =
-      match protos.(k) with
-      | Workload.Sync | Workload.Naive ->
-          fun l -> fst (Anta.Executor.handlers (Sync_protocol.automaton_for env l) ())
-      | Workload.Htlc ->
-          let cfg = Htlc_protocol.default_config env in
-          let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + k) in
-          fun l -> Htlc_protocol.handlers_for env cfg preimage l
-      | Workload.Weak_single -> Weak_protocol.handlers_for env weak_cfg
-      | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
-      | Workload.Shared -> Weak_protocol.handlers_for env (shared_weak_cfg k)
-      | Workload.Atomic -> Atomic_protocol.handlers_for env Atomic_protocol.default_config
-    in
-    let bs = block_size ~hops protos.(k) in
-    let base = 1 + (k * stride) in
+  for id = 0 to instances - 1 do
+    let base = 1 + (id * stride) in
+    (* no path can give this payment's protocol a wider block *)
+    let bs = block_size ~hops:lmax protos.(id / max_splits) in
     for l = 0 to stride - 1 do
       let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
       let skew = Rng.int clock_rng 1001 in
       let handlers =
-        if l < bs then
-          wrap ~payment:k ~abs:(base + l) ~is_customer:(l <= hops) ~skew
-            (inner l)
-        else Engine.silent
+        if l < bs then wrap ~id ~l ~abs:(base + l) ~skew else Engine.silent
       in
-      (* profiler role labels: constant strings, interned only when the
-         engine carries a profiler *)
-      let label =
-        if l = 0 then "alice"
-        else if l < hops then "chloe"
-        else if l = hops then "bob"
-        else if l <= 2 * hops then "escrow"
-        else if l < bs then "aux"
-        else "idle"
-      in
-      ignore (Engine.add_process engine ~clock ~base ~label handlers)
+      ignore
+        (Engine.add_process engine ~clock ~base ~label:(label ~bs l) handlers)
     done
   done;
   (* the shared committee's replicas form one block right after the
-     payment blocks; [c_faulty] of them (never the sequencer) are
+     instance blocks; [c_faulty] of them (never the sequencer) are
      crash-silent from the start *)
   let sequencer_com = ref None in
-  (match shared_committee with
-  | None -> ()
-  | Some (c, ccfg, signers, cbase) ->
+  Option.iter
+    (fun (c, ccfg, signers, cbase) ->
       for i = 0 to c.Workload.c_size - 1 do
         let handlers =
           if i >= 1 && i <= c.Workload.c_faulty then Engine.silent
@@ -670,175 +806,235 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
             ~label:"notary" handlers
         in
         assert (pid = cbase + i)
-      done);
-  (* host crashes expand to every payment block *)
+      done)
+    shared_committee;
+  (* host crashes expand to every instance block *)
   List.iter
     (fun (c : Faults.Fault_plan.crash_spec) ->
-      for k = 0 to w.payments - 1 do
+      for id = 0 to instances - 1 do
         Engine.schedule_crash engine
-          ~pid:(1 + (k * stride) + c.pid)
+          ~pid:(1 + (id * stride) + c.pid)
           ~at:c.at ?recover_at:c.recover_at ()
       done)
     plan.Faults.Fault_plan.crashes;
-  (* Online money-conservation check: exactly the run's post-hoc audit
-     (per-book conservation plus non-negative balances) re-evaluated on
-     every dispatch, so the monitor's final verdict agrees with the
-     report's [conservation_ok] by construction. *)
-  (match monitor with
-  | None -> ()
-  | Some m ->
+  (* Online checks: exactly the run's post-hoc audit (per-book conservation
+     plus non-negative balances) re-evaluated on every dispatch, so the
+     monitor's final verdict agrees with the report's [conservation_ok] by
+     construction; on a graph also liquidity-never-exceeded — a negative
+     funder balance means reservations overdrew the edge. *)
+  Option.iter
+    (fun m ->
       Obsv.Monitor.register m ~name:"M" (fun () ->
           let bad = ref None in
           Array.iteri
             (fun i b ->
-              if
-                !bad = None
-                && not
-                     ((match Ledger.Book.audit b with
-                      | Ok () -> true
-                      | Error _ -> false)
-                     && List.for_all
-                          (fun (_, bal) -> bal >= 0)
-                          (Ledger.Book.accounts b))
-              then
+              if !bad = None && not (book_ok b) then
                 bad :=
                   Some
                     (Printf.sprintf
-                       "shared escrow book %d failed its conservation audit" i))
+                       "shared %s book %d failed its conservation audit"
+                       book_kind i))
             books;
-          !bad));
-  (match sampler with
-  | None -> ()
-  | Some s ->
+          !bad);
+      if graph <> None then
+        Obsv.Monitor.register m ~name:"LIQ" (fun () ->
+            let bad = ref None in
+            for e = 0 to Array.length books - 1 do
+              if !bad = None && avail e < 0 then
+                bad :=
+                  Some
+                    (Printf.sprintf "edge %d overdrew its liquidity by %d" e
+                       (-avail e))
+            done;
+            !bad))
+    monitor;
+  Option.iter
+    (fun s ->
+      let nb = Array.length books in
       let columns =
         "queue_depth" :: "in_flight" :: "admitted"
-        :: List.init hops (Printf.sprintf "escrow%d_pool")
+        :: List.init nb
+             (if graph = None then Printf.sprintf "escrow%d_pool"
+              else Printf.sprintf "edge%d_liquidity")
       in
       Obsv.Sampler.set_probe s ~columns (fun () ->
-          Array.init (3 + hops) (fun i ->
+          Array.init (3 + nb) (fun i ->
               match i with
               | 0 -> Engine.queue_depth engine
               | 1 -> !in_flight
               | 2 -> !admitted
-              | i -> Ledger.Book.pool_total books.(i - 3))));
+              | i when graph = None -> Ledger.Book.pool_total books.(i - 3)
+              | i -> avail (i - 3))))
+    sampler;
   let status = Engine.run ~horizon ~max_events engine in
   let end_time = Engine.now engine in
-  (* --- classification --- *)
+  (* --- classification: a payment commits iff every split paid Bob --- *)
   let violations = ref [] in
   let liquidity_rejections = ref 0 in
-  let exposed p lp =
-    let hi = if p.settled_at >= 0 then p.settled_at else end_time in
-    let lo = if p.admitted_at >= 0 then p.admitted_at else 0 in
-    List.exists
-      (fun (c : Faults.Fault_plan.crash_spec) ->
-        c.pid = lp && c.at <= hi
-        && match c.recover_at with None -> true | Some r -> r >= lo)
-      plan.Faults.Fault_plan.crashes
-  in
-  (* a customer abides unless it, or an adjacent escrow host, was crashed
-     while the payment was live — mirrors chaos's non-abiding registration *)
-  let abides p ci =
-    (not (exposed p ci))
-    && (ci = 0 || not (exposed p (hops + ci)))
-    && (ci = hops || not (exposed p (hops + 1 + ci)))
-  in
+  let partial_payments = ref 0 in
+  let no_route_rejections = ref 0 in
   let classify k =
     let p = pays.(k) in
-    if p.marked = Some Rejected || p.admitted_at < 0 then Rejected
+    if p.admitted_at < 0 then begin
+      if p.no_route then incr no_route_rejections;
+      Rejected
+    end
     else begin
       let viols = ref [] in
       let add property detail =
         viols := { payment = k; property; detail } :: !viols
       in
+      let all_paid = ref true in
+      let all_settled = ref true in
+      let any_paid = ref false in
       List.iter
-        (fun (who, what) ->
-          let liq = is_liquidity_rejection what in
-          if liq then incr liquidity_rejections;
-          let excused =
-            (liq && w.policy = Workload.Optimistic)
-            || exposed p who
-            || (who >= 0 && who <= hops && not (abides p who))
+        (fun id ->
+          let ins = insts.(id) in
+          let h = ins.hops in
+          (* violation details name the split on a graph *)
+          let split sep =
+            if graph = None then "" else Printf.sprintf "split %d%s" id sep
           in
-          if not excused then
-            add "C" (Printf.sprintf "pid %d rejected: %s" who what))
-        p.rejections;
-      if
-        p.proto <> Workload.Htlc && p.terms.(0) && abides p 0
-        && p.flows.(0) < 0
-        && not p.alice_cert
-      then
-        add "CS1"
-          (Printf.sprintf "alice paid %d without a certificate"
-             (-p.flows.(0)));
-      if p.terms.(hops) && abides p hops && p.bob_cert_issued && p.paid_at < 0
-      then add "CS2" "bob issued a certificate but was not paid";
-      for ci = 1 to hops - 1 do
-        if p.terms.(ci) && abides p ci && p.flows.(ci) < 0 then
-          add "CS3" (Printf.sprintf "connector %d lost %d" ci (-p.flows.(ci)))
-      done;
+          let hi = if ins.settled_at >= 0 then ins.settled_at else end_time in
+          let exposed lp =
+            List.exists
+              (fun (c : Faults.Fault_plan.crash_spec) ->
+                c.pid = lp && c.at <= hi
+                &&
+                match c.recover_at with
+                | None -> true
+                | Some r -> r >= p.admitted_at)
+              plan.Faults.Fault_plan.crashes
+          in
+          (* a customer abides unless it, or an adjacent escrow host, was
+             crashed while the instance was live — mirrors chaos's
+             non-abiding registration *)
+          let abides ci =
+            (not (exposed ci))
+            && (ci = 0 || not (exposed (h + ci)))
+            && (ci = h || not (exposed (h + 1 + ci)))
+          in
+          List.iter
+            (fun (who, what) ->
+              let liq = is_liquidity_rejection what in
+              if liq then incr liquidity_rejections;
+              let excused =
+                (liq && w.policy = Workload.Optimistic)
+                || exposed who
+                || (who >= 0 && who <= h && not (abides who))
+              in
+              if not excused then
+                add "C"
+                  (Printf.sprintf "%spid %d rejected: %s" (split " ") who what))
+            ins.rejections;
+          if
+            p.proto <> Workload.Htlc && ins.terms.(0) && abides 0
+            && ins.flows.(0) < 0
+            && not ins.alice_cert
+          then
+            add "CS1"
+              (Printf.sprintf "%salice paid %d without a certificate"
+                 (split ": ") (-ins.flows.(0)));
+          if
+            ins.terms.(h) && abides h && ins.bob_cert_issued && ins.paid_at < 0
+          then
+            add "CS2"
+              (split ": " ^ "bob issued a certificate but was not paid");
+          for ci = 1 to h - 1 do
+            if ins.terms.(ci) && abides ci && ins.flows.(ci) < 0 then
+              add "CS3"
+                (Printf.sprintf "%sconnector %d lost %d" (split ": ") ci
+                   (-ins.flows.(ci)))
+          done;
+          if ins.paid_at < 0 then all_paid := false else any_paid := true;
+          (* settled for abort purposes: every customer terminated or was
+             crash-covered *)
+          for ci = 0 to h do
+            if not (ins.terms.(ci) || exposed ci) then all_settled := false
+          done)
+        p.splits;
       if !viols <> [] then begin
         violations := !viols @ !violations;
         Violated
       end
-      else if p.paid_at >= 0 then Committed
-      else if
-        (* settled for abort purposes: every customer terminated or was
-           crash-covered *)
-        let ok = ref true in
-        for ci = 0 to hops do
-          if not (p.terms.(ci) || exposed p ci) then ok := false
-        done;
-        !ok
-      then Aborted
+      else if !all_paid && p.splits <> [] then Committed
+      else if !all_settled then begin
+        if !any_paid then incr partial_payments;
+        Aborted
+      end
       else Stuck
     end
   in
   let outcomes = Array.init w.payments classify in
-  let conservation_ok =
-    Array.for_all
-      (fun b ->
-        (match Ledger.Book.audit b with Ok () -> true | Error _ -> false)
-        && List.for_all (fun (_, bal) -> bal >= 0) (Ledger.Book.accounts b))
-      books
-  in
+  let conservation_ok = Array.for_all book_ok books in
   if not conservation_ok then
     violations :=
       {
         payment = -1;
         property = "ES/M";
-        detail = "a shared escrow book failed its conservation audit";
+        detail =
+          Printf.sprintf "a shared %s book failed its conservation audit"
+            book_kind;
       }
       :: !violations;
-  let count o = Array.fold_left (fun a x -> if x = o then a + 1 else a) 0 outcomes in
+  let count o =
+    Array.fold_left (fun a x -> if x = o then a + 1 else a) 0 outcomes
+  in
+  let pay_latency k =
+    List.fold_left
+      (fun acc id -> max acc insts.(id).paid_at)
+      0 pays.(k).splits
+    - pays.(k).arrived_at
+  in
   let latencies =
     let l = ref [] in
     Array.iteri
-      (fun k o ->
-        if o = Committed then
-          l := (pays.(k).paid_at - pays.(k).arrived_at) :: !l)
+      (fun k o -> if o = Committed then l := pay_latency k :: !l)
       outcomes;
     let a = Array.of_list !l in
     Array.sort compare a;
     a
   in
   let committed = count Committed in
-  (* critical-path blame per committed payment: root = its arrival note,
-     sink = the deliver under which Bob's payout was released, so the
-     category gaps sum exactly to paid_at - arrived_at. A message departs
-     up to [sigma] after its send node (send-side compute), so the largest
-     honest synchronous gap is [delta + sigma] — beyond that is GST wait. *)
+  let committed_value = ref 0 in
+  let active = ref 0 in
+  let instances_committed = ref 0 in
+  let instances_settled = ref 0 in
+  Array.iter
+    (fun ins ->
+      if ins.mk <> None then begin
+        incr active;
+        if ins.paid_at >= 0 then begin
+          incr instances_committed;
+          committed_value := !committed_value + ins.value
+        end;
+        if ins.settled_at >= 0 then incr instances_settled
+      end)
+    insts;
+  (* critical-path blame per paid split of every unviolated payment: root =
+     its payment's arrival note, sink = the deliver under which its Bob's
+     payout was released, so on a linear chain the category gaps sum
+     exactly to paid_at - arrived_at, and on a graph partial outcomes stay
+     attributable per path. A message departs up to [sigma] after its send
+     node (send-side compute), so the largest honest synchronous gap is
+     [delta + sigma] — beyond that is GST wait. *)
   let blame_reports =
     match causal with
     | None -> []
     | Some c ->
         let acc = ref [] in
-        for k = w.payments - 1 downto 0 do
-          if outcomes.(k) = Committed && roots.(k) >= 0 && paid_nodes.(k) >= 0
+        for id = instances - 1 downto 0 do
+          let k = id / max_splits in
+          if
+            insts.(id).paid_at >= 0
+            && outcomes.(k) <> Violated
+            && roots.(k) >= 0
+            && paid_nodes.(id) >= 0
           then
             acc :=
-              ( k,
+              ( id,
                 Obsv.Blame.attribute ~delta:(delta + sigma) c ~root:roots.(k)
-                  ~sink:paid_nodes.(k) )
+                  ~sink:paid_nodes.(id) )
               :: !acc
         done;
         !acc
@@ -895,11 +1091,27 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
           w.mix;
       blame;
       blame_reports;
-      routing = None;
+      routing =
+        Option.map
+          (fun g ->
+            {
+              topology = RT.to_string g;
+              strategy = RR.strategy_name w.route;
+              max_splits;
+              offered_value = w.payments * w.value;
+              committed_value = !committed_value;
+              paths_selected = !total_paths;
+              split_payments = !split_payments;
+              partial_payments = !partial_payments;
+              no_route_rejections = !no_route_rejections;
+              instances = !active;
+              instances_committed = !instances_committed;
+              instances_settled = !instances_settled;
+            })
+          graph;
       committee_stats =
-        (match !sequencer_com with
-        | None -> None
-        | Some com ->
+        Option.map
+          (fun com ->
             (* deterministic: read straight off the sequencer's committee
                state, never the (domain-shared) metrics registry *)
             let certs = ref 0
@@ -925,941 +1137,15 @@ let run_linear ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
                   lat_sum := !lat_sum + lat;
                   if lat > !lat_max then lat_max := lat
             done;
-            Some
-              {
-                certs = !certs;
-                verdicts = !verdicts;
-                max_batch = !max_batch;
-                rounds = !rounds;
-                cert_lat_sum = !lat_sum;
-                cert_lat_max = !lat_max;
-              });
-      events = Engine.events_processed engine;
-      wall_ns = max 1 (Fleet.now_ns () - wall_t0);
-    }
-  in
-  (* --- telemetry --- *)
-  let reg = Obsv.Metrics.default in
-  List.iter
-    (fun (pr, _) ->
-      List.iter
-        (fun o ->
-          let n =
-            Array.fold_left ( + ) 0
-              (Array.mapi
-                 (fun k x ->
-                   if protos.(k) = pr && x = o then 1 else 0)
-                 outcomes)
-          in
-          if n > 0 then
-            Obsv.Metrics.add
-              (Obsv.Metrics.counter reg ~help:"Load-run payment outcomes"
-                 ~labels:
-                   [
-                     ("protocol", Workload.proto_name pr);
-                     ("outcome", outcome_name o);
-                   ]
-                 "xchain_load_payments_total")
-              n)
-        [ Committed; Aborted; Rejected; Stuck; Violated ])
-    w.mix;
-  Array.iteri
-    (fun k o ->
-      if o = Committed then
-        Obsv.Metrics.observe
-          (Obsv.Metrics.histogram reg
-             ~help:"Commit latency (arrival to Bob's payout), ticks"
-             ~labels:[ ("protocol", Workload.proto_name protos.(k)) ]
-             "xchain_load_commit_latency")
-          (pays.(k).paid_at - pays.(k).arrived_at))
-    outcomes;
-  Obsv.Metrics.add
-    (Obsv.Metrics.counter reg
-       ~help:"In-protocol insufficient-funds deposit failures"
-       "xchain_load_liquidity_rejections_total")
-    !liquidity_rejections;
-  Obsv.Metrics.set
-    (Obsv.Metrics.gauge reg ~help:"Peak concurrently admitted payments"
-       "xchain_load_in_flight_max")
-    !max_in_flight;
-  let spans = Obsv.Span.default in
-  if Obsv.Span.capture spans then begin
-    let root =
-      Obsv.Span.start spans ~name:"load"
-        ~attrs:
-          [
-            ("payments", string_of_int w.payments);
-            ("seed", string_of_int seed);
-          ]
-        ~at:0 ()
-    in
-    Array.iteri
-      (fun k o ->
-        let p = pays.(k) in
-        let s =
-          Obsv.Span.start spans ~parent:root ~name:"payment"
-            ~attrs:
-              [
-                ("id", string_of_int k);
-                ("protocol", Workload.proto_name p.proto);
-              ]
-            ~trace_id:(if Option.is_none causal then -1 else k)
-            ~root_event:roots.(k)
-            ~at:(max 0 p.arrived_at) ()
-        in
-        (* a stuck payment's span must never export as open-ended or as
-           settling when the engine merely stopped: it is force-closed at
-           the horizon the scheduler gave up at *)
-        Obsv.Span.finish ~status:(outcome_name o)
-          ~at:
-            (if p.settled_at >= 0 then p.settled_at
-             else if o = Stuck then horizon
-             else end_time)
-          s)
-      outcomes;
-    Obsv.Span.finish ~status:report.status ~at:end_time root
-  end;
-  report
-
-(* --------------------------- routed execution --------------------------- *)
-
-(* One protocol instance: a single split of a payment, running the plain
-   linear protocol over the books of its path's edges. Everything but the
-   accounting arrays is configured at admission time, when the router has
-   chosen the path. *)
-type inst = {
-  mutable i_active : bool;
-  mutable i_hops : int;
-  mutable i_value : int;
-  mutable i_path : int array;  (** edge indices along the path *)
-  mutable i_amounts : int array;  (** leg amounts, commissions included *)
-  mutable i_bs : int;  (** block size for this path length *)
-  mutable i_handlers : (int -> (Msg.t, Obs.t) Sim.Engine.handlers) option;
-  mutable i_settled_at : int;
-  mutable i_paid_at : int;
-  mutable i_done : bool;  (** settlement counted toward the payment *)
-  i_flows : int array;
-  i_terms : bool array;
-  mutable i_term_count : int;
-  mutable i_alice_cert : bool;
-  mutable i_bob_cert_issued : bool;
-  mutable i_rejections : (int * string) list;
-  i_deposited : int array;  (** per leg: deposits drawn from the payer *)
-  i_refunded : int array;  (** per leg: refunds returned to the payer *)
-}
-
-type rpay = {
-  rp_proto : Workload.proto;
-  mutable rp_arrived_at : int;
-  mutable rp_admitted_at : int;
-  mutable rp_closed : bool;
-  mutable rp_marked : outcome option;
-  mutable rp_splits : int list;  (** instance ids, ascending *)
-  mutable rp_no_route : bool;
-  mutable rp_settled : int;  (** instances settled so far *)
-}
-
-let run_routed ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
-    ?causal ?prof ?monitor ?sampler ?recorder ~(workload : Workload.t) ~seed
-    ~(rtopo : Routing.Topology.t) () =
-  let wall_t0 = Fleet.now_ns () in
-  let w = workload in
-  let module RT = Routing.Topology in
-  let module RR = Routing.Router in
-  let nodes = rtopo.RT.nodes in
-  let lmax = nodes - 1 in
-  let nedges = Array.length rtopo.RT.edges in
-  let protos = Workload.assign_mix w ~seed in
-  let arrivals = Workload.arrivals w ~seed in
-  let max_splits = w.splits in
-  let instances = w.payments * max_splits in
-  (* the pid stride must fit the longest simple path any route can take *)
-  let stride =
-    List.fold_left
-      (fun acc (p, _) -> max acc (block_size ~hops:lmax p))
-      0 w.mix
-  in
-  (match Faults.Fault_plan.validate plan ~nprocs:stride with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Load.run: bad fault plan: " ^ e));
-  (* One shared book per graph edge. A distinguished funder account holds
-     the edge's liquidity; admission moves each leg's amount from the
-     funder to the split's local payer account (the transfer IS the
-     reservation), and closing a settled split sweeps the unspent part
-     back. The funder's balance is therefore always the edge's spendable
-     liquidity, and per-book conservation holds by construction. *)
-  let funder = 1_000_000 in
-  let ample = w.payments * (w.value + RT.total_commission rtopo) in
-  let ebooks =
-    Array.init nedges (fun e ->
-        let b = Ledger.Book.create ~currency:(Printf.sprintf "edge%d" e) in
-        let liq = rtopo.RT.edges.(e).RT.liquidity in
-        Ledger.Book.open_account b ~owner:funder
-          ~balance:(if liq = 0 then ample else liq);
-        b)
-  in
-  let avail e = Ledger.Book.balance ebooks.(e) funder in
-  let router = RR.create ~strategy:w.route rtopo in
-  let params_for_hops proto hops =
-    let drift = match proto with Workload.Naive -> 0 | _ -> w.drift_ppm in
-    Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
-  in
-  let proto_horizon proto =
-    match proto with
-    | Workload.Sync | Workload.Naive ->
-        (params_for_hops proto lmax).Params.horizon
-    | Workload.Htlc ->
-        let topo0 = Topology.create ~hops:lmax in
-        let env0 =
-          Env.make ~topo:topo0 ~params:(params_for_hops proto lmax)
-            ~value:w.value ~commission:w.commission ~seed:(seed + 9991) ()
-        in
-        Htlc_protocol.window_of env0 (Htlc_protocol.default_config env0) 0
-    | Workload.Weak_single | Workload.Committee | Workload.Shared ->
-        weak_cfg.patience
-    | Workload.Atomic -> Atomic_protocol.default_config.deadline
-  in
-  let gst_slack = match w.gst with Some g -> 2 * g | None -> 0 in
-  let stuck_eff =
-    if w.stuck_after > 0 then w.stuck_after
-    else
-      let base =
-        List.fold_left (fun acc (p, _) -> max acc (proto_horizon p)) 0 w.mix
-      in
-      (4 * base) + (20 * delta) + gst_slack
-  in
-  let horizon =
-    let last_arrival =
-      match arrivals with
-      | Some arr -> arr.(Array.length arr - 1)
-      | None -> (
-          match w.arrival with
-          | Workload.Closed { clients; think } ->
-              let rounds = (w.payments + clients - 1) / clients in
-              rounds * (w.patience + stuck_eff + think + 1)
-          | _ -> 0)
-    in
-    last_arrival + w.patience + (2 * stuck_eff) + (20 * delta) + gst_slack
-  in
-  let max_events = (1000 * instances) + 100_000 in
-  let injector =
-    if Faults.Fault_plan.is_none plan then None
-    else Some (Faults.Injector.create ~plan ~seed:(seed + 47) ())
-  in
-  let model =
-    let base =
-      match w.gst with
-      | None -> Network.Synchronous { delta }
-      | Some gst -> Network.Partially_synchronous { gst; delta }
-    in
-    match injector with
-    | None -> base
-    | Some inj -> Faults.Injector.jittered_model inj base
-  in
-  let tamper =
-    Option.map
-      (fun inj ->
-        let tam = Faults.Injector.tamper inj in
-        fun ~send_time ~src ~dst ~tag ->
-          if src = 0 || dst = 0 then [ Network.Intact ]
-          else
-            tam ~send_time
-              ~src:((src - 1) mod stride)
-              ~dst:((dst - 1) mod stride)
-              ~tag)
-      injector
-  in
-  let adversary ~send_time:_ ~src:_ ~dst:_ ~tag ~bounds =
-    if tag = "start" || tag = "traffic-done" then Some bounds.Network.lo
-    else None
-  in
-  let network =
-    Network.create ~adversary ?tamper ~link_stats:false model
-      (Rng.create ~seed:(seed + 17))
-  in
-  let trace_cap = if trace_capacity = 0 then None else Some trace_capacity in
-  let engine =
-    Engine.create ~tag_of:Msg.tag ~network ~sigma ?trace_capacity:trace_cap
-      ?causal ?prof ?monitor ?sampler ?recorder ~seed ()
-  in
-  let insts =
-    Array.init instances (fun _ ->
-        {
-          i_active = false;
-          i_hops = 0;
-          i_value = 0;
-          i_path = [||];
-          i_amounts = [||];
-          i_bs = 0;
-          i_handlers = None;
-          i_settled_at = -1;
-          i_paid_at = -1;
-          i_done = false;
-          i_flows = Array.make (lmax + 1) 0;
-          i_terms = Array.make (lmax + 1) false;
-          i_term_count = 0;
-          i_alice_cert = false;
-          i_bob_cert_issued = false;
-          i_rejections = [];
-          i_deposited = Array.make (max lmax 1) 0;
-          i_refunded = Array.make (max lmax 1) 0;
-        })
-  in
-  let rpays =
-    Array.init w.payments (fun k ->
-        {
-          rp_proto = protos.(k);
-          rp_arrived_at = -1;
-          rp_admitted_at = -1;
-          rp_closed = false;
-          rp_marked = None;
-          rp_splits = [];
-          rp_no_route = false;
-          rp_settled = 0;
-        })
-  in
-  let messages = ref 0 in
-  let roots = Array.make w.payments (-1) in
-  let ipaid_nodes = Array.make instances (-1) in
-  Trace.on_record (Engine.trace engine) (fun entry ->
-      match entry with
-      | Trace.Sent _ -> incr messages
-      | Trace.Observed { t; pid; obs } when pid >= 1 ->
-          let id = (pid - 1) / stride in
-          let ins = insts.(id) in
-          let h = ins.i_hops in
-          if ins.i_active then (
-            match obs with
-            | Obs.Deposited { depositor; amount; _ } ->
-                (* depositor index IS the leg index: customer i deposits
-                   only at escrow i *)
-                if depositor >= 0 && depositor <= h then begin
-                  ins.i_flows.(depositor) <- ins.i_flows.(depositor) - amount;
-                  if depositor < h then
-                    ins.i_deposited.(depositor) <-
-                      ins.i_deposited.(depositor) + amount
-                end
-            | Obs.Released { to_; amount; _ } ->
-                if to_ >= 0 && to_ <= h then begin
-                  ins.i_flows.(to_) <- ins.i_flows.(to_) + amount;
-                  if to_ = h && ins.i_paid_at < 0 then begin
-                    ins.i_paid_at <- t;
-                    ipaid_nodes.(id) <- Engine.current_node engine
-                  end
-                end
-            | Obs.Refunded { depositor; amount; _ } ->
-                if depositor >= 0 && depositor <= h then begin
-                  ins.i_flows.(depositor) <- ins.i_flows.(depositor) + amount;
-                  if depositor < h then
-                    ins.i_refunded.(depositor) <-
-                      ins.i_refunded.(depositor) + amount
-                end
-            | Obs.Cert_received
-                { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
-              when who = 0 ->
-                ins.i_alice_cert <- true
-            | Obs.Cert_issued { by; _ } when by = h ->
-                ins.i_bob_cert_issued <- true
-            | Obs.Terminated { pid = who; _ }
-              when who >= 0 && who <= h && not ins.i_terms.(who) ->
-                ins.i_terms.(who) <- true;
-                ins.i_term_count <- ins.i_term_count + 1;
-                if ins.i_term_count = h + 1 && ins.i_settled_at < 0 then
-                  ins.i_settled_at <- t
-            | Obs.Rejected { pid = who; what } ->
-                ins.i_rejections <- (who, what) :: ins.i_rejections
-            | _ -> ())
-      | _ -> ());
-  (* --- controller --- *)
-  let queue = Queue.create () in
-  let in_flight = ref 0 in
-  let max_in_flight = ref 0 in
-  let admitted = ref 0 in
-  let total_paths = ref 0 in
-  let split_payments = ref 0 in
-  let arr_label k = "arr#" ^ string_of_int k in
-  let pat_label k = "pat#" ^ string_of_int k in
-  let stuck_label k = "stuck#" ^ string_of_int k in
-  let handlers_for_env proto env id =
-    match proto with
-    | Workload.Sync | Workload.Naive ->
-        fun l ->
-          fst (Anta.Executor.handlers (Sync_protocol.automaton_for env l) ())
-    | Workload.Htlc ->
-        let cfg = Htlc_protocol.default_config env in
-        let preimage = Htlc_protocol.fresh_preimage ~seed:(seed + 57 + id) in
-        Htlc_protocol.handlers_for env cfg preimage
-    | Workload.Weak_single -> Weak_protocol.handlers_for env weak_cfg
-    | Workload.Committee -> Weak_protocol.handlers_for env committee_cfg
-    | Workload.Shared ->
-        (* Workload.validate rejects shared + topology *)
-        invalid_arg "Load.run: shared protocol requires a linear workload"
-    | Workload.Atomic ->
-        Atomic_protocol.handlers_for env Atomic_protocol.default_config
-  in
-  let try_admit ctx k =
-    let p = rpays.(k) in
-    let cap_ok = w.cap = 0 || !in_flight < w.cap in
-    cap_ok
-    &&
-    match RR.route router ~avail ~value:w.value ~max_splits with
-    | Error _ ->
-        p.rp_no_route <- true;
-        false
-    | Ok splits ->
-        p.rp_admitted_at <- Engine.now engine;
-        incr admitted;
-        incr in_flight;
-        if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-        total_paths := !total_paths + List.length splits;
-        if List.length splits > 1 then incr split_payments;
-        List.iteri
-          (fun j (s : RR.split) ->
-            let id = (k * max_splits) + j in
-            let patharr = Array.of_list s.RR.path in
-            let h = Array.length patharr in
-            let amounts = RR.leg_amounts rtopo ~path:s.RR.path ~value:s.RR.value in
-            let ptopo = Topology.create ~hops:h in
-            let slice = Array.map (fun e -> ebooks.(e)) patharr in
-            let env =
-              Env.make ~topo:ptopo ~params:(params_for_hops p.rp_proto h)
-                ~payment:id ~value:s.RR.value ~amounts ~seed:(seed + 101 + id)
-                ~books:slice ()
-            in
-            (* the reservation: each leg's amount moves from the edge
-               funder into the local payer account the protocol draws on *)
-            Array.iteri
-              (fun i e ->
-                match
-                  Ledger.Book.transfer ebooks.(e) ~src:funder ~dst:i
-                    ~amount:amounts.(i)
-                with
-                | Ok () -> ()
-                | Error _ ->
-                    (* the router checked capacity against the funder
-                       balance in this same handler; leave any breakage
-                       to the conservation audit *)
-                    ())
-              patharr;
-            let ins = insts.(id) in
-            ins.i_active <- true;
-            ins.i_hops <- h;
-            ins.i_value <- s.RR.value;
-            ins.i_path <- patharr;
-            ins.i_amounts <- amounts;
-            ins.i_bs <- block_size ~hops:h p.rp_proto;
-            ins.i_handlers <- Some (handlers_for_env p.rp_proto env id);
-            p.rp_splits <- p.rp_splits @ [ id ];
-            ignore
-              (Engine.causal_note ctx ~after:roots.(k) ~trace:id
-                 ~label:("admit#" ^ string_of_int id)
-                 ());
-            let base = 1 + (id * stride) in
-            for l = 0 to ins.i_bs - 1 do
-              Engine.send ctx ~dst:(base + l) Msg.Start
-            done)
-          splits;
-        Engine.set_timer_after ctx ~after:stuck_eff ~label:(stuck_label k);
-        Engine.cancel_timer ctx ~label:(pat_label k);
-        true
-  in
-  let drain ctx =
-    let blocked = ref false in
-    while (not !blocked) && not (Queue.is_empty queue) do
-      let k = Queue.peek queue in
-      let p = rpays.(k) in
-      if p.rp_closed || p.rp_admitted_at >= 0 then ignore (Queue.pop queue)
-      else if try_admit ctx k then ignore (Queue.pop queue)
-      else blocked := true
-    done
-  in
-  (* sweep a settled split: return reserved-but-undeposited plus refunded
-     value from each leg's local payer account to the edge funder. The
-     payer account may pool several live splits' money (deposits draw
-     fungibly), but each split's term is non-negative and their sum is the
-     account balance, so sweeping one split's term is always covered. *)
-  let sweep_instance id =
-    let ins = insts.(id) in
-    if ins.i_active then
-      Array.iteri
-        (fun i e ->
-          let back =
-            ins.i_amounts.(i) - ins.i_deposited.(i) + ins.i_refunded.(i)
-          in
-          if back > 0 then
-            match
-              Ledger.Book.transfer ebooks.(e) ~src:i ~dst:funder ~amount:back
-            with
-            | Ok () -> ()
-            | Error _ -> ())
-        ins.i_path
-  in
-  let close ctx k ~release =
-    let p = rpays.(k) in
-    if not p.rp_closed then begin
-      p.rp_closed <- true;
-      if p.rp_admitted_at >= 0 then decr in_flight;
-      if release then List.iter sweep_instance p.rp_splits;
-      Engine.cancel_timer ctx ~label:(stuck_label k);
-      (match w.arrival with
-      | Workload.Closed { clients; think } ->
-          let next = k + clients in
-          if next < w.payments then
-            Engine.set_timer_after ctx ~after:(max 1 think)
-              ~label:(arr_label next)
-      | _ -> ());
-      drain ctx
-    end
-  in
-  let arrive ctx k =
-    rpays.(k).rp_arrived_at <- Engine.now engine;
-    roots.(k) <-
-      Engine.causal_note ctx ~trace:(k * max_splits)
-        ~label:("arrive#" ^ string_of_int k)
-        ();
-    Queue.add k queue;
-    Engine.set_timer_after ctx ~after:w.patience ~label:(pat_label k);
-    drain ctx
-  in
-  let controller =
-    {
-      Engine.on_start =
-        (fun ctx ->
-          match arrivals with
-          | Some arr ->
-              Array.iteri
-                (fun k t ->
-                  Engine.set_timer ctx ~deadline:t ~label:(arr_label k))
-                arr
-          | None -> (
-              match w.arrival with
-              | Workload.Closed { clients; _ } ->
-                  for c = 0 to min clients w.payments - 1 do
-                    Engine.set_timer ctx ~deadline:(1 + c)
-                      ~label:(arr_label c)
-                  done
-              | _ -> assert false));
-      on_receive =
-        (fun ctx ~src:_ msg ->
-          match msg with
-          | Msg.Traffic_done { payment = id } ->
-              let ins = insts.(id) in
-              let k = id / max_splits in
-              let p = rpays.(k) in
-              if ins.i_active && (not ins.i_done) && ins.i_settled_at >= 0
-              then begin
-                ins.i_done <- true;
-                p.rp_settled <- p.rp_settled + 1;
-                if
-                  (not p.rp_closed)
-                  && p.rp_settled = List.length p.rp_splits
-                then close ctx k ~release:true
-              end
-          | _ -> ());
-      on_timer =
-        (fun ctx ~label ->
-          match String.split_on_char '#' label with
-          | [ "arr"; k ] -> arrive ctx (int_of_string k)
-          | [ "pat"; k ] ->
-              let k = int_of_string k in
-              let p = rpays.(k) in
-              if (not p.rp_closed) && p.rp_admitted_at < 0 then begin
-                p.rp_marked <- Some Rejected;
-                close ctx k ~release:false
-              end
-          | [ "stuck"; k ] ->
-              let k = int_of_string k in
-              let p = rpays.(k) in
-              if not p.rp_closed then
-                if
-                  p.rp_splits <> []
-                  && p.rp_settled = List.length p.rp_splits
-                then close ctx k ~release:true
-                else begin
-                  p.rp_marked <- Some Stuck;
-                  (* settled splits give their unspent collateral back;
-                     unsettled ones may still deposit, so their reserves
-                     stay locked — mirroring the linear run *)
-                  List.iter
-                    (fun id ->
-                      if insts.(id).i_settled_at >= 0 then sweep_instance id)
-                    p.rp_splits;
-                  close ctx k ~release:false
-                end
-          | _ -> ())
-    }
-  in
-  let cpid =
-    Engine.add_process engine ~clock:Clock.perfect ~label:"sched" controller
-  in
-  assert (cpid = 0);
-  (* --- instance blocks: handlers are configured at admission, so every
-     process starts as a buffering shell that comes alive on Start --- *)
-  let clock_rng = Rng.create ~seed:(seed + 31) in
-  let wrap_routed ~id ~l ~abs ~skew =
-    let started = ref false in
-    let reported = ref false in
-    let buffered = ref [] in
-    let inner = ref Engine.silent in
-    let after_inner ctx =
-      if
-        !started
-        && l <= insts.(id).i_hops
-        && (not !reported)
-        && Engine.is_halted engine abs
-      then begin
-        reported := true;
-        Engine.send_absolute ctx ~dst:0 (Msg.Traffic_done { payment = id })
-      end
-    in
-    {
-      Engine.on_start = (fun _ -> ());
-      on_receive =
-        (fun ctx ~src msg ->
-          match msg with
-          | Msg.Start ->
-              if not !started then (
-                match insts.(id).i_handlers with
-                | Some mk when l < insts.(id).i_bs ->
-                    started := true;
-                    let num, den = Clock.rate (Engine.clock_of engine abs) in
-                    Engine.set_clock engine ~pid:abs
-                      (Clock.create ~l0:skew ~g0:(Engine.now engine) ~num
-                         ~den ());
-                    let h = mk l in
-                    inner := h;
-                    h.Engine.on_start ctx;
-                    let pending = List.rev !buffered in
-                    buffered := [];
-                    List.iter
-                      (fun (src, m) ->
-                        if not (Engine.is_halted engine abs) then
-                          h.Engine.on_receive ctx ~src m)
-                      pending;
-                    after_inner ctx
-                | _ -> ())
-          | _ ->
-              if !started then begin
-                !inner.Engine.on_receive ctx ~src msg;
-                after_inner ctx
-              end
-              else buffered := (src, msg) :: !buffered);
-      on_timer =
-        (fun ctx ~label ->
-          if !started then begin
-            !inner.Engine.on_timer ctx ~label;
-            after_inner ctx
-          end);
-    }
-  in
-  for id = 0 to instances - 1 do
-    let base = 1 + (id * stride) in
-    for l = 0 to stride - 1 do
-      let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
-      let skew = Rng.int clock_rng 1001 in
-      (* the path (hence the role layout) is unknown until admission *)
-      let label = if l = 0 then "alice" else "node" in
-      ignore
-        (Engine.add_process engine ~clock ~base ~label
-           (wrap_routed ~id ~l ~abs:(base + l) ~skew))
-    done
-  done;
-  List.iter
-    (fun (c : Faults.Fault_plan.crash_spec) ->
-      for id = 0 to instances - 1 do
-        Engine.schedule_crash engine
-          ~pid:(1 + (id * stride) + c.pid)
-          ~at:c.at ?recover_at:c.recover_at ()
-      done)
-    plan.Faults.Fault_plan.crashes;
-  (* Online checks: per-edge-book conservation (the post-hoc audit,
-     re-evaluated per dispatch) and liquidity-never-exceeded — the
-     funder account is each edge's spendable liquidity, so a negative
-     funder balance means reservations overdrew the edge. *)
-  (match monitor with
-  | None -> ()
-  | Some m ->
-      Obsv.Monitor.register m ~name:"M" (fun () ->
-          let bad = ref None in
-          Array.iteri
-            (fun e b ->
-              if
-                !bad = None
-                && not
-                     ((match Ledger.Book.audit b with
-                      | Ok () -> true
-                      | Error _ -> false)
-                     && List.for_all
-                          (fun (_, bal) -> bal >= 0)
-                          (Ledger.Book.accounts b))
-              then
-                bad :=
-                  Some
-                    (Printf.sprintf
-                       "shared edge book %d failed its conservation audit" e))
-            ebooks;
-          !bad);
-      Obsv.Monitor.register m ~name:"LIQ" (fun () ->
-          let bad = ref None in
-          for e = 0 to nedges - 1 do
-            if !bad = None && avail e < 0 then
-              bad :=
-                Some
-                  (Printf.sprintf "edge %d overdrew its liquidity by %d" e
-                     (-avail e))
-          done;
-          !bad));
-  (match sampler with
-  | None -> ()
-  | Some s ->
-      let columns =
-        "queue_depth" :: "in_flight" :: "admitted"
-        :: List.init nedges (Printf.sprintf "edge%d_liquidity")
-      in
-      Obsv.Sampler.set_probe s ~columns (fun () ->
-          Array.init (3 + nedges) (fun i ->
-              match i with
-              | 0 -> Engine.queue_depth engine
-              | 1 -> !in_flight
-              | 2 -> !admitted
-              | i -> avail (i - 3))));
-  let status = Engine.run ~horizon ~max_events engine in
-  let end_time = Engine.now engine in
-  (* --- classification: a payment commits iff every split paid Bob --- *)
-  let violations = ref [] in
-  let liquidity_rejections = ref 0 in
-  let partial_payments = ref 0 in
-  let no_route_rejections = ref 0 in
-  let exposed_at ~lo ~hi lp =
-    List.exists
-      (fun (c : Faults.Fault_plan.crash_spec) ->
-        c.pid = lp && c.at <= hi
-        && match c.recover_at with None -> true | Some r -> r >= lo)
-      plan.Faults.Fault_plan.crashes
-  in
-  let classify k =
-    let p = rpays.(k) in
-    if p.rp_marked = Some Rejected || p.rp_admitted_at < 0 then begin
-      if p.rp_no_route then incr no_route_rejections;
-      Rejected
-    end
-    else begin
-      let viols = ref [] in
-      let add property detail =
-        viols := { payment = k; property; detail } :: !viols
-      in
-      let all_paid = ref true in
-      let all_settled = ref true in
-      let any_paid = ref false in
-      List.iter
-        (fun id ->
-          let ins = insts.(id) in
-          let h = ins.i_hops in
-          let lo = if p.rp_admitted_at >= 0 then p.rp_admitted_at else 0 in
-          let hi = if ins.i_settled_at >= 0 then ins.i_settled_at else end_time in
-          let exposed lp = exposed_at ~lo ~hi lp in
-          let abides ci =
-            (not (exposed ci))
-            && (ci = 0 || not (exposed (h + ci)))
-            && (ci = h || not (exposed (h + 1 + ci)))
-          in
-          List.iter
-            (fun (who, what) ->
-              let liq = is_liquidity_rejection what in
-              if liq then incr liquidity_rejections;
-              let excused =
-                exposed who || (who >= 0 && who <= h && not (abides who))
-              in
-              if not excused then
-                add "C"
-                  (Printf.sprintf "split %d pid %d rejected: %s" id who what))
-            ins.i_rejections;
-          if
-            p.rp_proto <> Workload.Htlc && ins.i_terms.(0) && abides 0
-            && ins.i_flows.(0) < 0
-            && not ins.i_alice_cert
-          then
-            add "CS1"
-              (Printf.sprintf "split %d: alice paid %d without a certificate"
-                 id (-ins.i_flows.(0)));
-          if
-            ins.i_terms.(h) && abides h && ins.i_bob_cert_issued
-            && ins.i_paid_at < 0
-          then
-            add "CS2"
-              (Printf.sprintf
-                 "split %d: bob issued a certificate but was not paid" id);
-          for ci = 1 to h - 1 do
-            if ins.i_terms.(ci) && abides ci && ins.i_flows.(ci) < 0 then
-              add "CS3"
-                (Printf.sprintf "split %d: connector %d lost %d" id ci
-                   (-ins.i_flows.(ci)))
-          done;
-          if ins.i_paid_at < 0 then all_paid := false else any_paid := true;
-          let settled_for_abort = ref true in
-          for ci = 0 to h do
-            if not (ins.i_terms.(ci) || exposed ci) then
-              settled_for_abort := false
-          done;
-          if not !settled_for_abort then all_settled := false)
-        p.rp_splits;
-      if !viols <> [] then begin
-        violations := !viols @ !violations;
-        Violated
-      end
-      else if !all_paid && p.rp_splits <> [] then Committed
-      else if !all_settled then begin
-        if !any_paid then incr partial_payments;
-        Aborted
-      end
-      else Stuck
-    end
-  in
-  let outcomes = Array.init w.payments classify in
-  let conservation_ok =
-    Array.for_all
-      (fun b ->
-        (match Ledger.Book.audit b with Ok () -> true | Error _ -> false)
-        && List.for_all (fun (_, bal) -> bal >= 0) (Ledger.Book.accounts b))
-      ebooks
-  in
-  if not conservation_ok then
-    violations :=
-      {
-        payment = -1;
-        property = "ES/M";
-        detail = "a shared edge book failed its conservation audit";
-      }
-      :: !violations;
-  let count o =
-    Array.fold_left (fun a x -> if x = o then a + 1 else a) 0 outcomes
-  in
-  let pay_latency k =
-    List.fold_left
-      (fun acc id -> max acc insts.(id).i_paid_at)
-      0 rpays.(k).rp_splits
-    - rpays.(k).rp_arrived_at
-  in
-  let latencies =
-    let l = ref [] in
-    Array.iteri
-      (fun k o -> if o = Committed then l := pay_latency k :: !l)
-      outcomes;
-    let a = Array.of_list !l in
-    Array.sort compare a;
-    a
-  in
-  let committed = count Committed in
-  let committed_value = ref 0 in
-  let instances_committed = ref 0 in
-  let instances_settled = ref 0 in
-  Array.iter
-    (fun ins ->
-      if ins.i_active then begin
-        if ins.i_paid_at >= 0 then begin
-          incr instances_committed;
-          committed_value := !committed_value + ins.i_value
-        end;
-        if ins.i_settled_at >= 0 then incr instances_settled
-      end)
-    insts;
-  (* per-split blame: every paid split gets its own critical path from the
-     payment's arrival note to its own payout — partial outcomes stay
-     attributable per path *)
-  let blame_reports =
-    match causal with
-    | None -> []
-    | Some c ->
-        let acc = ref [] in
-        for id = instances - 1 downto 0 do
-          let k = id / max_splits in
-          if
-            insts.(id).i_active
-            && insts.(id).i_paid_at >= 0
-            && roots.(k) >= 0
-            && ipaid_nodes.(id) >= 0
-          then
-            acc :=
-              ( id,
-                Obsv.Blame.attribute ~delta:(delta + sigma) c ~root:roots.(k)
-                  ~sink:ipaid_nodes.(id) )
-              :: !acc
-        done;
-        !acc
-  in
-  let blame =
-    match causal with
-    | None -> None
-    | Some _ -> Some (Obsv.Blame.aggregate (List.map snd blame_reports))
-  in
-  let active_instances =
-    Array.fold_left (fun a ins -> if ins.i_active then a + 1 else a) 0 insts
-  in
-  let routing_stats =
-    {
-      topology = Routing.Topology.to_string rtopo;
-      strategy = RR.strategy_name w.route;
-      max_splits;
-      offered_value = w.payments * w.value;
-      committed_value = !committed_value;
-      paths_selected = !total_paths;
-      split_payments = !split_payments;
-      partial_payments = !partial_payments;
-      no_route_rejections = !no_route_rejections;
-      instances = active_instances;
-      instances_committed = !instances_committed;
-      instances_settled = !instances_settled;
-    }
-  in
-  let report =
-    {
-      workload = w;
-      seed;
-      plan = Faults.Fault_plan.to_string plan;
-      status =
-        (match status with
-        | Engine.Quiescent -> "quiescent"
-        | Engine.Horizon_reached -> "horizon"
-        | Engine.Event_limit -> "event-limit"
-        | Engine.Violation_stop -> "violation-stop");
-      admitted = !admitted;
-      committed;
-      aborted = count Aborted;
-      rejected = count Rejected;
-      stuck = count Stuck;
-      violated = count Violated;
-      violations = List.rev !violations;
-      liquidity_rejections = !liquidity_rejections;
-      conservation_ok;
-      latency_p50 = percentile latencies 50;
-      latency_p95 = percentile latencies 95;
-      latency_p99 = percentile latencies 99;
-      latency_max =
-        (if Array.length latencies = 0 then 0
-         else latencies.(Array.length latencies - 1));
-      makespan = end_time;
-      throughput_cpm =
-        (if end_time = 0 then 0 else committed * 1_000_000 / end_time);
-      messages = !messages;
-      max_in_flight = !max_in_flight;
-      trace_dropped = Trace.dropped_count (Engine.trace engine);
-      by_protocol =
-        List.map
-          (fun (pr, _) ->
-            let assigned = ref 0 and comm = ref 0 in
-            Array.iteri
-              (fun k o ->
-                if protos.(k) = pr then begin
-                  incr assigned;
-                  if o = Committed then incr comm
-                end)
-              outcomes;
-            (Workload.proto_name pr, !assigned, !comm))
-          w.mix;
-      blame;
-      blame_reports;
-      routing = Some routing_stats;
-      committee_stats = None;
+            {
+              certs = !certs;
+              verdicts = !verdicts;
+              max_batch = !max_batch;
+              rounds = !rounds;
+              cert_lat_sum = !lat_sum;
+              cert_lat_max = !lat_max;
+            })
+          !sequencer_com;
       events = Engine.events_processed engine;
       wall_ns = max 1 (Fleet.now_ns () - wall_t0);
     }
@@ -1898,34 +1184,37 @@ let run_routed ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
              "xchain_load_commit_latency")
           (pay_latency k))
     outcomes;
+  let counter ~help name n =
+    Obsv.Metrics.add (Obsv.Metrics.counter reg ~help name) n
+  in
+  (match graph with
+  | None ->
+      counter ~help:"In-protocol insufficient-funds deposit failures"
+        "xchain_load_liquidity_rejections_total" !liquidity_rejections
+  | Some _ -> ());
   Obsv.Metrics.set
     (Obsv.Metrics.gauge reg ~help:"Peak concurrently admitted payments"
        "xchain_load_in_flight_max")
     !max_in_flight;
-  if !total_paths > 0 then
-    Obsv.Metrics.add
-      (Obsv.Metrics.counter reg ~help:"Paths selected by the payment router"
-         ~labels:[ ("strategy", RR.strategy_name w.route) ]
-         "xchain_route_paths_total")
-      !total_paths;
-  if !split_payments > 0 then
-    Obsv.Metrics.add
-      (Obsv.Metrics.counter reg
-         ~help:"Payments split across multiple disjoint paths"
-         "xchain_route_split_payments_total")
-      !split_payments;
-  if !no_route_rejections > 0 then
-    Obsv.Metrics.add
-      (Obsv.Metrics.counter reg
-         ~help:"Payments rejected because no route could carry them"
-         "xchain_route_no_route_total")
-      !no_route_rejections;
-  if !committed_value > 0 then
-    Obsv.Metrics.add
-      (Obsv.Metrics.counter reg
-         ~help:"Value committed end-to-end across all splits"
-         "xchain_route_committed_value_total")
-      !committed_value;
+  (match graph with
+  | None -> ()
+  | Some _ ->
+      if !total_paths > 0 then
+        Obsv.Metrics.add
+          (Obsv.Metrics.counter reg
+             ~help:"Paths selected by the payment router"
+             ~labels:[ ("strategy", RR.strategy_name w.route) ]
+             "xchain_route_paths_total")
+          !total_paths;
+      if !split_payments > 0 then
+        counter ~help:"Payments split across multiple disjoint paths"
+          "xchain_route_split_payments_total" !split_payments;
+      if !no_route_rejections > 0 then
+        counter ~help:"Payments rejected because no route could carry them"
+          "xchain_route_no_route_total" !no_route_rejections;
+      if !committed_value > 0 then
+        counter ~help:"Value committed end-to-end across all splits"
+          "xchain_route_committed_value_total" !committed_value);
   let spans = Obsv.Span.default in
   if Obsv.Span.capture spans then begin
     let root =
@@ -1939,46 +1228,36 @@ let run_routed ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096)
     in
     Array.iteri
       (fun k o ->
-        let p = rpays.(k) in
+        let p = pays.(k) in
         let s =
           Obsv.Span.start spans ~parent:root ~name:"payment"
             ~attrs:
               [
                 ("id", string_of_int k);
-                ("protocol", Workload.proto_name p.rp_proto);
+                ("protocol", Workload.proto_name p.proto);
               ]
             ~trace_id:(if Option.is_none causal then -1 else k * max_splits)
             ~root_event:roots.(k)
-            ~at:(max 0 p.rp_arrived_at) ()
+            ~at:(max 0 p.arrived_at) ()
         in
         let settled_at =
           List.fold_left
-            (fun acc id -> max acc insts.(id).i_settled_at)
-            (-1) p.rp_splits
+            (fun acc id -> max acc insts.(id).settled_at)
+            (-1) p.splits
         in
+        (* a stuck payment's span must never export as open-ended or as
+           settling when the engine merely stopped: it is force-closed at
+           the horizon the scheduler gave up at *)
         Obsv.Span.finish ~status:(outcome_name o)
           ~at:
-            (if settled_at >= 0 && o <> Stuck then settled_at
-             else if o = Stuck then horizon
+            (if o = Stuck then horizon
+             else if settled_at >= 0 then settled_at
              else end_time)
           s)
       outcomes;
     Obsv.Span.finish ~status:report.status ~at:end_time root
   end;
   report
-
-let run ?plan ?trace_capacity ?causal ?prof ?monitor ?sampler ?recorder
-    ~(workload : Workload.t) ~seed () =
-  (match Workload.validate workload with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("Load.run: " ^ e));
-  match workload.Workload.topology with
-  | None ->
-      run_linear ?plan ?trace_capacity ?causal ?prof ?monitor ?sampler
-        ?recorder ~workload ~seed ()
-  | Some rtopo ->
-      run_routed ?plan ?trace_capacity ?causal ?prof ?monitor ?sampler
-        ?recorder ~workload ~seed ~rtopo ()
 
 (* ------------------------------- output ------------------------------- *)
 

@@ -105,12 +105,11 @@ let committee_of_string s =
         (Printf.sprintf "unrecognised committee spec %S (want \
                          family:size:f:batch:pipeline[:faulty])" s)
 
-let validate_committee c =
+let quorum_system c =
   let err fmt = Fmt.kstr Result.error fmt in
-  if not (List.mem c.c_family [ "majority"; "weighted"; "grid" ]) then
-    err "committee family must be majority, weighted or grid (got %S)"
-      c.c_family
-  else if c.c_size < 1 then err "committee size must be >= 1"
+  let n = c.c_size and f = c.c_f in
+  let side = truncate (Float.sqrt (float_of_int n)) in
+  if c.c_size < 1 then err "committee size must be >= 1"
   else if c.c_f < 0 then err "committee f must be >= 0"
   else if c.c_batch < 1 then err "committee batch must be >= 1"
   else if c.c_pipeline < 1 then err "committee pipeline must be >= 1"
@@ -118,7 +117,22 @@ let validate_committee c =
     err "committee faulty must be in [0, size)"
   else if c.c_faulty > c.c_f then
     err "committee faulty must not exceed the fault bound f"
-  else Ok ()
+  else
+    let qs =
+      match c.c_family with
+      | "majority" -> Ok (Quorum_system.majority ~n ~f ())
+      | "weighted" ->
+          Ok (Quorum_system.weighted ~weights:(Array.make n 1) ~f ())
+      | "grid" when side * side = n ->
+          Ok (Quorum_system.grid ~rows:side ~cols:side ~f ())
+      | "grid" -> err "grid committee size must be a perfect square (got %d)" n
+      | fam ->
+          err "committee family must be majority, weighted or grid (got %S)" fam
+    in
+    Result.bind qs (fun qs ->
+        match Quorum_system.validate qs with
+        | Ok () -> Ok qs
+        | Error e -> err "committee: %s" e)
 
 let pp_proto ppf p = Fmt.string ppf (proto_name p)
 
@@ -213,9 +227,9 @@ let validate w =
     err "shared committee mode requires a linear workload (no topology=)"
   else if
     match w.committee with
-    | Some c -> Result.is_error (validate_committee c)
+    | Some c -> Result.is_error (quorum_system c)
     | None -> false
-  then Option.get (Option.map validate_committee w.committee)
+  then Result.map ignore (quorum_system (Option.get w.committee))
   else if w.splits > 1 && w.topology = None then
     err "splits > 1 requires a topology= graph to split across"
   else if w.topology <> None && w.policy = Optimistic then

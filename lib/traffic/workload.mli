@@ -42,8 +42,8 @@ type committee = {
       (** replicas actually failed in the run (crash-silent), placed at
           indices [1 .. c_faulty] — never the sequencer; <= [c_f] *)
 }
-(** The shared committee's shape — pure data; [Load] builds the validated
-    {!Quorum_system.t} from it. *)
+(** The shared committee's shape — pure data; {!quorum_system} builds the
+    validated {!Quorum_system.t} from it. *)
 
 type policy =
   | Reserve
@@ -114,7 +114,11 @@ val committee_of_string : string -> (committee, string) result
 (** [family:size:f:batch:pipeline[:faulty]]; [faulty] defaults to 0. *)
 
 val committee_to_string : committee -> string
-val validate_committee : committee -> (unit, string) result
+val quorum_system : committee -> (Quorum_system.t, string) result
+(** The committee's validated quorum system, or why the spec cannot
+    build one: a field out of range, an unknown family, a grid size that
+    is not a perfect square, or a system in which no quorum survives [f]
+    faults. {!validate} and {!Load.run} both go through it. *)
 
 val validate : t -> (unit, string) result
 (** Structural sanity plus the policy/protocol compatibility rules:

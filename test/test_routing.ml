@@ -257,6 +257,50 @@ let load_spec ~splits =
      gst=none topology=%s route=shortest splits=%d"
     diamond_constrained splits
 
+(* A monitored, sampled routed run must report exactly what the bare run
+   does, end with a clean monitor (conservation M and edge liquidity LIQ)
+   that agrees with the post-hoc audit, and sample the three scheduler
+   columns plus every edge's liquidity, never negative. *)
+let check_monitored ~workload ~seed =
+  let module L = Traffic.Load in
+  let norm r = L.to_json { r with L.wall_ns = 1 } in
+  let bare = L.run ~workload ~seed () in
+  let m = Obsv.Monitor.create () in
+  let s = Obsv.Sampler.create () in
+  let r = L.run ~monitor:m ~sampler:s ~workload ~seed () in
+  Alcotest.(check string) "monitoring changes no report" (norm bare) (norm r);
+  Alcotest.(check bool) "monitor stepped" true (Obsv.Monitor.steps m > 0);
+  Alcotest.(check (list string)) "monitor ends clean" []
+    (List.map
+       (fun (t : Obsv.Monitor.trip) -> t.property ^ ": " ^ t.detail)
+       (Obsv.Monitor.violations m));
+  Alcotest.(check bool) "monitor agrees with the audit" r.L.conservation_ok
+    (Obsv.Monitor.violations m = []);
+  let edges =
+    match workload.Traffic.Workload.topology with
+    | Some t -> t.Topology.edges
+    | None -> Alcotest.fail "routed workload without a topology"
+  in
+  Alcotest.(check (list string)) "sampler columns"
+    ([ "queue_depth"; "in_flight"; "admitted" ]
+    @ List.init (Array.length edges) (Printf.sprintf "edge%d_liquidity"))
+    (Obsv.Sampler.columns s);
+  Alcotest.(check bool) "sampled" true (Obsv.Sampler.row_count s > 0);
+  let drained = ref false in
+  List.iter
+    (fun (at, row) ->
+      Array.iteri
+        (fun i v ->
+          if i >= 3 then begin
+            if v < 0 then
+              Alcotest.failf "edge%d_liquidity negative (%d) at t=%d" (i - 3)
+                v at;
+            if v < Topology.capacity edges.(i - 3) then drained := true
+          end)
+        row)
+    (Obsv.Sampler.rows s);
+  Alcotest.(check bool) "liquidity samples move" true !drained
+
 let routed_load_tests =
   [
     Alcotest.test_case "multi-path strictly beats single-path commits" `Slow
@@ -366,6 +410,15 @@ let routed_load_tests =
               Alcotest.(check bool) "partials add paid-split value" true
                 (s.Traffic.Load.committed_value
                 > r.Traffic.Load.committed * 1000));
+    Alcotest.test_case "monitor and sampler observe without perturbing" `Slow
+      (fun () ->
+        check_monitored ~seed:1
+          ~workload:
+            (spec
+               "payments=40 hops=2 value=1000 commission=10 \
+                arrival=poisson:20 mix=sync:1,weak:1 policy=reserve cap=0 \
+                liquidity=0 patience=2000 stuck=0 drift=10000 gst=none \
+                topology=sf:10:2:5:20000 route=round-robin splits=3"));
   ]
 
 let () =

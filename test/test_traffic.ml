@@ -206,6 +206,13 @@ let spec s =
   | Ok w -> w
   | Error e -> Alcotest.fail ("bad spec: " ^ e)
 
+let contains hay needle =
+  let lh = String.length hay and ln = String.length needle in
+  let rec go i =
+    i + ln <= lh && (String.sub hay i ln = needle || go (i + 1))
+  in
+  go 0
+
 let no_violations r =
   Alcotest.(check int) "violated" 0 r.Load.violated;
   Alcotest.(check (list string)) "violations" []
@@ -213,6 +220,37 @@ let no_violations r =
        (fun v -> Printf.sprintf "%d/%s: %s" v.Load.payment v.property v.detail)
        r.Load.violations);
   Alcotest.(check bool) "conservation" true r.Load.conservation_ok
+
+(* A monitored, sampled run must report exactly what the bare run does,
+   end with a clean monitor that agrees with the post-hoc audit, and sample
+   the three scheduler columns plus one per shared book, never negative. *)
+let check_monitored ~workload ~seed ~book_columns =
+  let norm r = Load.to_json { r with Load.wall_ns = 1 } in
+  let bare = Load.run ~workload ~seed () in
+  let m = Obsv.Monitor.create () in
+  let s = Obsv.Sampler.create () in
+  let r = Load.run ~monitor:m ~sampler:s ~workload ~seed () in
+  Alcotest.(check string) "monitoring changes no report" (norm bare) (norm r);
+  Alcotest.(check bool) "monitor stepped" true (Obsv.Monitor.steps m > 0);
+  Alcotest.(check (list string)) "monitor ends clean" []
+    (List.map
+       (fun (t : Obsv.Monitor.trip) -> t.property ^ ": " ^ t.detail)
+       (Obsv.Monitor.violations m));
+  Alcotest.(check bool) "monitor agrees with the audit" r.Load.conservation_ok
+    (Obsv.Monitor.violations m = []);
+  Alcotest.(check (list string)) "sampler columns"
+    ([ "queue_depth"; "in_flight"; "admitted" ] @ book_columns)
+    (Obsv.Sampler.columns s);
+  Alcotest.(check bool) "sampled" true (Obsv.Sampler.row_count s > 0);
+  List.iter
+    (fun (t, row) ->
+      Array.iteri
+        (fun i v ->
+          if i >= 3 && v < 0 then
+            Alcotest.failf "%s negative (%d) at t=%d"
+              (List.nth book_columns (i - 3)) v t)
+        row)
+    (Obsv.Sampler.rows s)
 
 let load_tests =
   [
@@ -341,16 +379,49 @@ let load_tests =
           (Load.to_json { tiny with Load.trace_dropped = 0; Load.wall_ns = 1 })
           (Load.to_json { full with Load.trace_dropped = 0; Load.wall_ns = 1 }));
     Alcotest.test_case "run rejects an invalid workload" `Quick (fun () ->
-        let w =
+        let optimistic_sync =
           {
             (Workload.default ~payments:5) with
             policy = Workload.Optimistic;
             mix = [ (Workload.Sync, 1) ];
           }
         in
-        match Load.run ~workload:w ~seed:1 () with
-        | exception Invalid_argument _ -> ()
-        | _ -> Alcotest.fail "invalid workload accepted");
+        (* of_string validates, so bad committees are spliced in by hand *)
+        let shared c =
+          match Workload.committee_of_string c with
+          | Ok c ->
+              {
+                (Workload.default ~payments:5) with
+                mix = [ (Workload.Shared, 1) ];
+                committee = Some c;
+              }
+          | Error e -> Alcotest.fail e
+        in
+        List.iter
+          (fun (w, why) ->
+            (match Workload.validate w with
+            | Error e ->
+                Alcotest.(check bool) ("validate names " ^ why) true
+                  (contains e why)
+            | Ok () -> Alcotest.failf "validate accepted a bad %s" why);
+            match Load.run ~workload:w ~seed:1 () with
+            | exception Invalid_argument _ -> ()
+            | _ -> Alcotest.fail "invalid workload accepted")
+          [
+            (optimistic_sync, "optimistic");
+            (shared "grid:5:1:4:1", "perfect square");
+            (shared "grid:9:2:8:2:1", "no quorum survives");
+          ]);
+    Alcotest.test_case "monitor and sampler observe without perturbing" `Slow
+      (fun () ->
+        let w =
+          spec
+            "payments=30 hops=3 value=1000 commission=10 arrival=poisson:15 \
+             mix=sync:1,weak:1,atomic:1 policy=reserve cap=0 liquidity=3 \
+             patience=2000 stuck=0 drift=10000 gst=none"
+        in
+        check_monitored ~workload:w ~seed:6
+          ~book_columns:[ "escrow0_pool"; "escrow1_pool"; "escrow2_pool" ]);
   ]
 
 (* --------------------------- causal tracing ---------------------------- *)
