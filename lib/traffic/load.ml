@@ -701,7 +701,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
   (* --- instance blocks: each process is a buffering shell that builds its
      role's handlers on Start, once admission has fixed the path --- *)
   let clock_rng = Rng.create ~seed:(seed + 31) in
-  let wrap ~id ~l ~abs ~skew =
+  let shell ~id ~l ~abs ~skew =
     let started = ref false in
     let reported = ref false in
     let buffered = ref [] in
@@ -778,7 +778,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
       let clock = Clock.random clock_rng ~drift_ppm:w.drift_ppm in
       let skew = Rng.int clock_rng 1001 in
       let handlers =
-        if l < bs then wrap ~id ~l ~abs:(base + l) ~skew else Engine.silent
+        if l < bs then shell ~id ~l ~abs:(base + l) ~skew else Engine.silent
       in
       ignore
         (Engine.add_process engine ~clock ~base ~label:(label ~bs l) handlers)
