@@ -108,7 +108,6 @@ type inst = {
   mutable value : int;
   mutable path : int array;  (** book indices along the path *)
   mutable amounts : int array;  (** leg amounts, commissions included *)
-  mutable bs : int;  (** block size for this path length *)
   mutable mk : (int -> (Msg.t, Obs.t) Engine.handlers) option;
       (** per-role handler factory; [Some] once admitted *)
   mutable settled_at : int;  (** every customer has Terminated *)
@@ -172,7 +171,9 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
   let max_splits = w.splits in
   let instances = w.payments * max_splits in
   let stride =
-    List.fold_left (fun acc (p, _) -> max acc (block_size ~hops:lmax p)) 0 w.mix
+    List.fold_left
+      (fun acc (p, _) -> max acc (block_size ~hops:lmax p))
+      0 w.mix
   in
   (* Fault plans address hosts: logical pids 0 .. stride-1, applied to
      every instance block (one crashed escrow host is down for everyone). *)
@@ -328,7 +329,6 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
           value = 0;
           path = [||];
           amounts = [||];
-          bs = 0;
           mk = None;
           settled_at = -1;
           paid_at = -1;
@@ -367,57 +367,55 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
       | Trace.Sent _ -> incr messages
       | Trace.Observed { t; pid; obs } when pid >= 1 ->
           let id = (pid - 1) / stride in
-          if id < instances then begin
-            let ins = insts.(id) in
-            let h = ins.hops in
-            match obs with
-            | Obs.Deposited { escrow; depositor; amount; _ } ->
-                (* the depositor index IS the leg index: customer i
-                   deposits only at escrow i *)
-                if depositor >= 0 && depositor <= h then begin
-                  ins.flows.(depositor) <- ins.flows.(depositor) - amount;
-                  if depositor < h then
-                    ins.deposited.(depositor) <-
-                      ins.deposited.(depositor) + amount
-                end;
-                (* the deposit consumes its leg's admission counter *)
-                let i = escrow - h - 1 in
-                if i >= 0 && i < h && ins.held.(i) then begin
-                  ins.held.(i) <- false;
-                  reserved.(ins.path.(i)) <-
-                    reserved.(ins.path.(i)) - ins.amounts.(i)
+          let ins = insts.(id) in
+          let h = ins.hops in
+          (match obs with
+          | Obs.Deposited { escrow; depositor; amount; _ } ->
+              (* the depositor index IS the leg index: customer i
+                 deposits only at escrow i *)
+              if depositor >= 0 && depositor <= h then begin
+                ins.flows.(depositor) <- ins.flows.(depositor) - amount;
+                if depositor < h then
+                  ins.deposited.(depositor) <-
+                    ins.deposited.(depositor) + amount
+              end;
+              (* the deposit consumes its leg's admission counter *)
+              let i = escrow - h - 1 in
+              if i >= 0 && i < h && ins.held.(i) then begin
+                ins.held.(i) <- false;
+                reserved.(ins.path.(i)) <-
+                  reserved.(ins.path.(i)) - ins.amounts.(i)
+              end
+          | Obs.Released { to_; amount; _ } ->
+              if to_ >= 0 && to_ <= h then begin
+                ins.flows.(to_) <- ins.flows.(to_) + amount;
+                if to_ = h && ins.paid_at < 0 then begin
+                  ins.paid_at <- t;
+                  paid_nodes.(id) <- Engine.current_node engine
                 end
-            | Obs.Released { to_; amount; _ } ->
-                if to_ >= 0 && to_ <= h then begin
-                  ins.flows.(to_) <- ins.flows.(to_) + amount;
-                  if to_ = h && ins.paid_at < 0 then begin
-                    ins.paid_at <- t;
-                    paid_nodes.(id) <- Engine.current_node engine
-                  end
-                end
-            | Obs.Refunded { depositor; amount; _ } ->
-                if depositor >= 0 && depositor <= h then begin
-                  ins.flows.(depositor) <- ins.flows.(depositor) + amount;
-                  if depositor < h then
-                    ins.refunded.(depositor) <-
-                      ins.refunded.(depositor) + amount
-                end
-            | Obs.Cert_received
-                { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
-              when who = 0 ->
-                ins.alice_cert <- true
-            | Obs.Cert_issued { by; _ } when by = h ->
-                ins.bob_cert_issued <- true
-            | Obs.Terminated { pid = who; _ }
-              when who >= 0 && who <= h && not ins.terms.(who) ->
-                ins.terms.(who) <- true;
-                ins.term_count <- ins.term_count + 1;
-                if ins.term_count = h + 1 && ins.settled_at < 0 then
-                  ins.settled_at <- t
-            | Obs.Rejected { pid = who; what } ->
-                ins.rejections <- (who, what) :: ins.rejections
-            | _ -> ()
-          end
+              end
+          | Obs.Refunded { depositor; amount; _ } ->
+              if depositor >= 0 && depositor <= h then begin
+                ins.flows.(depositor) <- ins.flows.(depositor) + amount;
+                if depositor < h then
+                  ins.refunded.(depositor) <-
+                    ins.refunded.(depositor) + amount
+              end
+          | Obs.Cert_received
+              { pid = who; kind = Obs.Chi | Obs.Chi_commit; valid = true }
+            when who = 0 ->
+              ins.alice_cert <- true
+          | Obs.Cert_issued { by; _ } when by = h ->
+              ins.bob_cert_issued <- true
+          | Obs.Terminated { pid = who; _ }
+            when who >= 0 && who <= h && not ins.terms.(who) ->
+              ins.terms.(who) <- true;
+              ins.term_count <- ins.term_count + 1;
+              if ins.term_count = h + 1 && ins.settled_at < 0 then
+                ins.settled_at <- t
+          | Obs.Rejected { pid = who; what } ->
+              ins.rejections <- (who, what) :: ins.rejections
+          | _ -> ())
       | _ -> ());
   (* --- shared batching committee: one block after the instance blocks --- *)
   let shared_committee =
@@ -520,16 +518,11 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
     Array.iteri
       (fun i b ->
         if graph <> None then
-          match
-            Ledger.Book.transfer books.(b) ~src:funder ~dst:i
-              ~amount:ins.amounts.(i)
-          with
-          | Ok () -> ()
-          | Error _ ->
-              (* the router checked capacity against the funder balance in
-                 this same handler; leave any breakage to the conservation
-                 audit *)
-              ()
+          (* the router checked capacity against the funder balance in this
+             same handler; leave any breakage to the conservation audit *)
+          ignore
+            (Ledger.Book.transfer books.(b) ~src:funder ~dst:i
+               ~amount:ins.amounts.(i))
         else if counters then begin
           ins.held.(i) <- true;
           reserved.(b) <- reserved.(b) + ins.amounts.(i)
@@ -549,11 +542,8 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
         if graph <> None then begin
           let back = ins.amounts.(i) - ins.deposited.(i) + ins.refunded.(i) in
           if back > 0 then
-            match
-              Ledger.Book.transfer books.(b) ~src:i ~dst:funder ~amount:back
-            with
-            | Ok () -> ()
-            | Error _ -> ()
+            ignore
+              (Ledger.Book.transfer books.(b) ~src:i ~dst:funder ~amount:back)
         end
         else if ins.held.(i) then begin
           ins.held.(i) <- false;
@@ -590,7 +580,6 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
             ins.value <- value;
             ins.path <- path;
             ins.amounts <- amounts;
-            ins.bs <- block_size ~hops:h p.proto;
             reserve ins;
             ins.mk <- Some (handlers_for p.proto env id);
             p.splits <- p.splits @ [ id ];
@@ -601,7 +590,7 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
                  ~label:("admit#" ^ string_of_int id)
                  ());
             let base = 1 + (id * stride) in
-            for l = 0 to ins.bs - 1 do
+            for l = 0 to block_size ~hops:h p.proto - 1 do
               Engine.send ctx ~dst:(base + l) Msg.Start
             done)
           splits;
@@ -925,7 +914,8 @@ let run ?(plan = Faults.Fault_plan.none) ?(trace_capacity = 4096) ?causal
               in
               if not excused then
                 add "C"
-                  (Printf.sprintf "%spid %d rejected: %s" (split " ") who what))
+                  (Printf.sprintf "%spid %d rejected: %s" (split " ") who
+                     what))
             ins.rejections;
           if
             p.proto <> Workload.Htlc && ins.terms.(0) && abides 0

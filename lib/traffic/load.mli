@@ -1,19 +1,23 @@
 (** The load scheduler: thousands of concurrent payments in one engine run.
 
-    {!run} multiplexes [workload.payments] payment instances over a single
-    {!Sim.Engine} run. All instances share one topology's escrow hosts and
-    — crucially — one {!Ledger.Book} per escrow, so they contend for the
-    same liquidity. Each instance gets its own block of engine pids at
-    [base = 1 + k * stride]; protocol handlers written for a standalone
+    {!run} multiplexes [workload.payments] payments over a single
+    {!Sim.Engine} run. Each payment is a list of protocol instances, and
+    each instance runs the unmodified chain protocol over a path of shared
+    {!Ledger.Book}s, so all instances contend for the same liquidity. A
+    linear workload gives every payment one instance whose path is the
+    whole chain; a graph workload gives it up to [splits] instances, one
+    per path a {!Routing.Router} picks. Instance [id] (payment [k], split
+    [j], [id = k * splits + j]) gets its own block of engine pids at
+    [base = 1 + id * stride]; protocol handlers written for a standalone
     payment run unmodified inside a block thanks to the engine's pid
     rebasing ({!Sim.Engine.add_process}).
 
     Pid 0 is the load controller: it owns the arrival process, the
-    admission queue (per-escrow liquidity reservations and the in-flight
-    cap), the per-payment patience and stuck deadlines, and settlement
-    bookkeeping. Control traffic ([start] / [traffic-done]) is delivered
-    at the network model's lower bound and is exempt from fault tampering,
-    so a fault plan shakes the payments, never the harness.
+    admission queue (liquidity reservations and the in-flight cap), the
+    per-payment patience and stuck deadlines, and settlement bookkeeping.
+    Control traffic ([start] / [traffic-done]) is delivered at the network
+    model's lower bound and is exempt from fault tampering, so a fault
+    plan shakes the payments, never the harness.
 
     Every payment is classified on exit and checked against the safety
     subset that survives multiplexing: C (no honest rejection), CS1–CS3
@@ -102,14 +106,17 @@ type report = {
           separately, the slowest 1%); [None] unless the run was causally
           traced *)
   blame_reports : (int * Obsv.Blame.report) list;
-      (** per-committed-payment critical paths, [(payment, report)] in
-          payment order; each report's [total] is exactly that payment's
+      (** critical paths of every paid instance of an unviolated payment,
+          [(instance, report)] in instance order. On the linear chain an
+          instance id is its payment's, so these are the committed
+          payments, and each report's [total] is exactly that payment's
           commit latency ([paid_at - arrived_at]) *)
   routing : routing_stats option;
       (** [Some] iff the workload set [topology=]; linear workloads leave
           this [None] and their reports byte-identical to pre-routing
           output. For routed runs, [blame_reports] keys are {e instance}
-          ids (payment × max_splits + split index), one per paid split *)
+          ids (payment × max_splits + split index), one per paid split of
+          an unviolated payment *)
   committee_stats : committee_stats option;
       (** [Some] iff the workload set [committee=]; other reports leave
           this [None] and stay byte-identical to pre-committee output *)
@@ -138,58 +145,66 @@ val run :
     bit-identical {!report}. Raises [Invalid_argument] on an invalid
     workload or a plan that does not validate against the block's logical
     pid space (plans address {e hosts} — logical pids [0 .. stride-1] —
-    and apply to every payment block, because one crashed escrow host
+    and apply to every instance block, because one crashed escrow host
     takes that escrow down for every payment that routes through it).
 
-    Workloads with [topology = Some g] take the routed path instead: each
-    payment is split by a {!Routing.Router} into up to [splits]
-    edge-disjoint paths, every split runs the unmodified linear protocol
-    over that path's per-edge books, admission reserves each leg's amount
-    by transferring it from the edge's funder account (whose balance {e
-    is} the edge's available liquidity), and closing a settled split
-    sweeps the unspent reservation back. A payment commits iff {e every}
-    split pays its sink; [report.routing] carries the router-level
-    accounting, including partially-paid aborts. Linear workloads
-    ([topology = None]) are dispatched to the original scheduler
-    untouched.
+    The workload's [topology] picks the liquidity model; nothing else in
+    the run depends on it. On the linear chain ([topology = None]) book
+    [i] is escrow [i]'s, payer [c_i]'s account there is the shared pool,
+    and under [Reserve] admission holds a counter per leg until that
+    leg's deposit lands. On a graph ([topology = Some g]) each payment is
+    split by a {!Routing.Router} into up to [splits] edge-disjoint paths
+    over one book per edge: admission reserves each leg's amount by
+    transferring it from the edge's funder account (whose balance {e is}
+    the edge's available liquidity), and closing a settled split sweeps
+    the unspent reservation back. A payment commits iff {e every} split
+    pays its sink; [report.routing] carries the router-level accounting,
+    including partially-paid aborts.
+
+    An instance's protocol environment is built when its payment is
+    admitted, and each process builds its role's handlers on its first
+    [start]; until then it buffers what it receives.
 
     [trace_capacity] bounds the engine trace (default 4096; 0 keeps it
     unbounded). Accounting ingests trace records through a hook as they
     happen, so eviction never affects the report.
 
-    Emits [xchain_load_*] metrics into {!Obsv.Metrics.default} and, when
-    span capture is on, one root span plus a span per payment. Stuck
-    payments' spans are force-closed with status ["stuck"] at the run's
-    stuck horizon, never exported open-ended.
+    Emits [xchain_load_*] metrics (plus [xchain_route_*] on a graph) into
+    {!Obsv.Metrics.default} and, when span capture is on, one root span
+    plus a span per payment. Stuck payments' spans are force-closed with
+    status ["stuck"] at the run's stuck horizon, never exported
+    open-ended.
 
     [causal] arms happens-before recording in the engine (see
-    {!Sim.Engine.create}): the scheduler stamps each payment's nodes with
-    its index as the trace id, anchors a root note at every arrival and a
+    {!Sim.Engine.create}): the scheduler stamps each instance's nodes with
+    its id as the trace id, anchors a root note at every arrival and a
     [Queue]-edged note at every admission, and fills [report.blame] /
     [report.blame_reports] with the critical-path decomposition of every
-    committed payment. Payment spans are then linked to the DAG via their
-    [trace]/[root_event] fields. Tracing adds nodes, never events: the
-    schedule, and hence every other report field, is unchanged.
+    paid instance of an unviolated payment. Payment spans are then linked
+    to the DAG via their [trace]/[root_event] fields. Tracing adds nodes,
+    never events: the schedule, and hence every other report field, is
+    unchanged.
 
     [monitor] arms online runtime verification (see {!Obsv.Monitor}):
     the scheduler registers the {e same} conservation audit the report's
-    [conservation_ok] runs post-hoc — per shared book, plus (routed) a
+    [conservation_ok] runs post-hoc — per shared book, plus (graph) a
     liquidity-never-exceeded check on every edge's funder account — as
     per-dispatch checks, so the monitor's final verdict agrees with the
     report by construction. A stop-on-violation monitor ends the run at
     the first breach with status ["violation-stop"]. [sampler] records a
     sim-time series per {!Obsv.Sampler} interval: queue depth, in-flight
     and admitted payments, and per-escrow pooled funds (per-edge
-    liquidity for routed workloads). [recorder] keeps the flight-recorder
-    event ring for forensic bundles. None of the three changes the
-    schedule.
+    liquidity on a graph). [recorder] keeps the flight-recorder event
+    ring for forensic bundles. None of the three changes the schedule.
 
     [prof] arms the dispatch profiler (see {!Sim.Engine.create}).
-    Processes are labeled by role — ["sched"] (the controller),
-    ["alice"], ["chloe"], ["bob"], ["escrow"], ["aux"] (TMs/notaries),
-    ["idle"] (pid-space padding) — and, combined with [causal],
-    dispatches attribute to individual payments. Like tracing, profiling
-    never changes the schedule or the report. *)
+    Processes are labeled by role — ["sched"] (the controller), on the
+    linear chain ["alice"], ["chloe"], ["bob"], ["escrow"], ["aux"]
+    (TMs/notaries), ["idle"] (pid-space padding), on a graph ["alice"]
+    and ["node"] (the path, hence the role layout, is fixed only at
+    admission) — and, combined with [causal], dispatches attribute to
+    individual payments. Like tracing, profiling never changes the
+    schedule or the report. *)
 
 val to_json : report -> string
 (** Stable field order, integers and escaped strings only — byte-identical
