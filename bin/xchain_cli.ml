@@ -1,18 +1,64 @@
 (* Command-line front end.
 
    xchain pay         — run one payment and report outcome + properties
-   xchain experiment  — regenerate the reproduction tables (e1..e13, all)
+   xchain experiment  — regenerate the reproduction tables (e1..e14, all)
    xchain params      — show the derived timeout windows (Thm 1 tuning)
-   xchain metrics     — the telemetry catalogue / a probe-run exposition
+   xchain dot         — emit the Figure 2 automata as Graphviz
+   xchain audit       — one payment's full postmortem, Byzantine --fault
+   xchain deal        — a §5 cross-chain deal and its properties
+   xchain chaos       — one run under a fault plan, or a soak of many
+   xchain hunt        — coverage-guided fault-plan search with shrinking
    xchain explore     — exhaustive corner sweep, sharded over -j domains
-   xchain dot         — emit the Figure 2 automata as Graphviz *)
+   xchain trace       — one payment's causal graph and latency blame
+   xchain load        — concurrent payments over shared liquidity
+   xchain committee   — shared notary-committee sweep
+   xchain route       — payment-graph path and liquidity analysis
+   xchain profile     — a load/chaos/explore workload under the profiler
+   xchain metrics     — the telemetry catalogue / a probe-run exposition
+
+   docs/observability.md tabulates which telemetry and observer flags
+   each subcommand takes. Every malformed input exits 2 with one
+   "xchain CMD: ..." line on stderr ([die]). *)
 
 open Cmdliner
 open Protocols
 
+(* ------------------------------- errors -------------------------------- *)
+
+let die ~cmd fmt =
+  Fmt.kstr
+    (fun s ->
+      Fmt.epr "xchain %s: %s@." cmd s;
+      exit 2)
+    fmt
+
+let require ~cmd ok msg = if not ok then die ~cmd "%s" msg
+
+(* a flag value through its parser, or a usage error naming the flag *)
+let parse_arg ~cmd what f s =
+  match f s with Ok v -> v | Error e -> die ~cmd "bad %s: %s" what e
+
+(* Library entry points reject what the CLI cannot pre-validate (a plan
+   pid past the protocol's real process count, which includes any TM
+   pids; a corner budget) with Invalid_argument. Turn that into a usage
+   error instead of a crash. *)
+let surface_invalid ~cmd f =
+  match f () with
+  | v -> v
+  | exception Invalid_argument e ->
+      let e =
+        let prefix = "Runner.run: " in
+        if String.starts_with ~prefix e then
+          String.sub e (String.length prefix)
+            (String.length e - String.length prefix)
+        else e
+      in
+      die ~cmd "%s" e
+
 (* ----------------------------- telemetry ------------------------------- *)
 
-(* Every simulation subcommand accepts --metrics-out / --spans-out; "-"
+(* pay, experiment, audit and load take --metrics-out and --spans-out;
+   chaos, hunt, explore, committee and route take --metrics-out only. "-"
    writes to stdout (after the human-readable report). Span capture is
    enabled only when a sink was requested, so bulk commands (experiment)
    don't accumulate spans nobody will read. *)
@@ -50,12 +96,17 @@ let write_sink path content =
         Fmt.epr "xchain: cannot write telemetry: %s@." msg;
         exit 2)
 
+let write_lines path lines =
+  write_sink path (String.concat "" (List.map (fun l -> l ^ "\n") lines))
+
 let arm_span_capture spans_out =
   Obsv.Span.set_capture Obsv.Span.default (spans_out <> None)
 
 let dump_telemetry ~metrics_out ~spans_out =
   write_sink metrics_out (Obsv.Prometheus.render Obsv.Metrics.default);
   write_sink spans_out (Obsv.Span.to_jsonl Obsv.Span.default)
+
+let per_sec n wall_ns = int_of_float (float_of_int n /. (float_of_int wall_ns /. 1e9))
 
 (* ------------------------------- fleet --------------------------------- *)
 
@@ -75,12 +126,13 @@ let jobs_arg =
            See docs/parallelism.md.")
 
 let resolve_domains ~cmd j =
-  if j < 0 then begin
-    Fmt.epr "xchain %s: -j must be >= 0@." cmd;
-    exit 2
-  end
-  else if j = 0 then Fleet.default_domains ()
-  else j
+  require ~cmd (j >= 0) "-j must be >= 0";
+  if j = 0 then Fleet.default_domains () else j
+
+(* the trailing, strippable timing block of a fleet-sharded JSON report *)
+let timing_json ~events (stats : Fleet.stats) =
+  Printf.sprintf "\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}"
+    stats.Fleet.wall_ns stats.Fleet.domains (per_sec events stats.Fleet.wall_ns)
 
 (* Live progress on stderr, only when someone is watching: piped runs
    (cram, CI) see nothing, so transcripts stay deterministic. *)
@@ -92,7 +144,83 @@ let tty_progress label =
         if completed >= total then prerr_newline ())
   else None
 
-(* --- causal tracing (trace / chaos / load) --- *)
+(* ----------------------------- common args ----------------------------- *)
+
+let protocol_conv =
+  let parse = function
+    | "sync" -> Ok `Sync
+    | "naive" -> Ok `Naive
+    | "htlc" -> Ok `Htlc
+    | "weak" -> Ok `Weak
+    | "committee" -> Ok `Committee
+    | s -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
+  in
+  let print ppf p =
+    Fmt.string ppf
+      (match p with
+      | `Sync -> "sync"
+      | `Naive -> "naive"
+      | `Htlc -> "htlc"
+      | `Weak -> "weak"
+      | `Committee -> "committee")
+  in
+  Arg.conv (parse, print)
+
+let protocol_arg ?(doc = "Protocol: sync | naive | htlc | weak | committee.") () =
+  Arg.(value & opt protocol_conv `Sync & info [ "p"; "protocol" ] ~docv:"PROTO" ~doc)
+
+let runner_protocol_of = function
+  | `Sync -> Runner.Sync_timebound
+  | `Naive -> Runner.Naive_universal
+  | `Htlc -> Runner.Htlc
+  | `Weak -> Runner.Weak Weak_protocol.default_config
+  | `Committee ->
+      Runner.Weak
+        { Weak_protocol.default_config with
+          tm = Weak_protocol.Committee { f = 1 } }
+
+let runner_protocol_arg ?doc () =
+  Term.(const runner_protocol_of $ protocol_arg ?doc ())
+
+(* --hops for every command that takes it: a chain needs an escrow *)
+let hops_arg ~cmd ?(doc = "Escrows.") default =
+  let check hops =
+    if hops < 1 then die ~cmd "--hops must be >= 1 (got %d)" hops;
+    hops
+  in
+  Term.(const check $ Arg.(value & opt int default & info [ "n"; "hops" ] ~doc))
+
+let seed_arg ?(doc = "Schedule seed.") default =
+  Arg.(value & opt int default & info [ "seed" ] ~doc)
+
+let gst_arg ?(doc = "Partial synchrony with this GST (default: synchronous).") () =
+  Arg.(value & opt (some int) None & info [ "gst" ] ~doc)
+
+let runner_network = function
+  | None -> Runner.Sync
+  | Some gst -> Runner.Psync { gst }
+
+(* --- fault plans (chaos / load / trace) --- *)
+
+let plan_file_arg =
+  Arg.(value & opt (some string) None
+       & info [ "plan-file" ] ~docv:"FILE"
+           ~doc:"Read the fault plan from $(docv) (overrides --plan).")
+
+let read_plan ~cmd ?plan_file plan =
+  let parse ~what s =
+    parse_arg ~cmd (Printf.sprintf "fault plan (%s)" what)
+      Faults.Fault_plan.of_string s
+  in
+  match (plan_file, plan) with
+  | Some file, _ -> (
+      match In_channel.with_open_text file In_channel.input_all with
+      | contents -> parse ~what:file (String.trim contents)
+      | exception Sys_error msg -> die ~cmd "cannot read plan file: %s" msg)
+  | None, Some s -> parse ~what:"--plan" s
+  | None, None -> Faults.Fault_plan.none
+
+(* ------------------------------ observers ------------------------------ *)
 
 let trace_out_arg =
   Arg.(
@@ -124,32 +252,6 @@ let blame_arg =
            decomposed into queueing / transit / gst_wait / timeout / \
            downtime / processing, summing exactly to the observed total.")
 
-(* any causal sink requested? then the engine records the graph *)
-let causal_wanted ~trace_out ~dag_out ~blame =
-  if trace_out <> None || dag_out <> None || blame then
-    Some (Obsv.Causal.create ())
-  else None
-
-let dump_causal causal ~trace_out ~dag_out ~payments =
-  Option.iter
-    (fun c ->
-      write_sink trace_out (Obsv.Causal.to_chrome ~payments c);
-      write_sink dag_out (Obsv.Causal.to_jsonl c))
-    causal
-
-(* a single payment's blame report: root is the run's first causal node
-   (the initial on_start send at t=0) *)
-let print_payment_blame c ~delta ~sink =
-  if Obsv.Causal.node_count c = 0 || sink < 0 then
-    Fmt.pr "blame: no settlement sink recorded (payment never paid out)@."
-  else begin
-    let r = Obsv.Blame.attribute ~delta c ~root:0 ~sink in
-    Fmt.pr "%a@." Obsv.Blame.pp_report r;
-    Fmt.pr "critical path:@.%a@." (Obsv.Blame.pp_path c) r
-  end
-
-(* --- hot-path profiling (profile / load / chaos) --- *)
-
 let profile_flag =
   Arg.(
     value & flag
@@ -178,22 +280,6 @@ let collapsed_out_arg =
           "Write the profile as collapsed stacks (payment;process;kind \
            wall_ns) to $(docv) ('-' for stdout) — load it in speedscope \
            or feed it to flamegraph.pl.")
-
-(* any profile sink requested? then the engine carries a profiler *)
-let prof_wanted ~profile ~profile_out ~collapsed_out =
-  if profile || profile_out <> None || collapsed_out <> None then
-    Some (Obsv.Prof.create ~now_ns:Fleet.now_ns ())
-  else None
-
-let dump_prof ?(top = 15) ~table prof ~profile_out ~collapsed_out =
-  Option.iter
-    (fun p ->
-      if table then Fmt.pr "%a" (Obsv.Prof.pp_top ~n:top) p;
-      write_sink profile_out (Obsv.Prof.to_json p);
-      write_sink collapsed_out (Obsv.Prof.to_collapsed p))
-    prof
-
-(* --- online runtime verification (chaos / load / hunt) --- *)
 
 let monitor_flag =
   Arg.(
@@ -237,19 +323,83 @@ let bundle_out_arg =
            repro — as JSON to $(docv) ('-' for stdout). Deterministic: \
            replaying the repro reproduces the bundle byte for byte.")
 
-(* --monitor/--stop-on-violation/--bundle-out arm the monitor; --series-out
-   arms the sampler; --bundle-out arms the flight-recorder ring *)
-let watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out =
-  let monitor =
-    if monitor || stop_on_violation || bundle_out <> None then
-      Some (Obsv.Monitor.create ~stop_on_violation ())
-    else None
-  in
-  let sampler = Option.map (fun _ -> Obsv.Sampler.create ()) series_out in
-  let recorder = Option.map (fun _ -> Obsv.Recorder.create ()) bundle_out in
-  (monitor, sampler, recorder)
+(* The run-observer flags chaos and load share. *)
+type observe = {
+  trace_out : string option;
+  dag_out : string option;
+  blame : bool;
+  profile : bool;
+  profile_out : string option;
+  collapsed_out : string option;
+  monitor : bool;
+  stop_on_violation : bool;
+  series_out : string option;
+  bundle_out : string option;
+}
 
-let print_monitor_verdict monitor =
+let observe_term =
+  let make trace_out dag_out blame profile profile_out collapsed_out monitor
+      stop_on_violation series_out bundle_out =
+    { trace_out; dag_out; blame; profile; profile_out; collapsed_out;
+      monitor; stop_on_violation; series_out; bundle_out }
+  in
+  Term.(const make $ trace_out_arg $ dag_out_arg $ blame_arg $ profile_flag
+        $ profile_out_arg $ collapsed_out_arg $ monitor_flag
+        $ stop_on_violation_flag $ series_out_arg $ bundle_out_arg)
+
+let observing o =
+  o.blame || o.profile || o.monitor || o.stop_on_violation
+  || List.exists Option.is_some
+       [ o.trace_out; o.dag_out; o.profile_out; o.collapsed_out; o.series_out;
+         o.bundle_out ]
+
+(* The observers one run carries. *)
+type observers = {
+  causal : Obsv.Causal.t option;
+  prof : Obsv.Prof.t option;
+  mon : Obsv.Monitor.t option;
+  sampler : Obsv.Sampler.t option;
+  recorder : Obsv.Recorder.t option;
+}
+
+(* Which flag arms which observer. A bundle needs the monitor's first
+   breach, the flight-recorder ring and a causal-DAG slice;
+   --stop-on-violation needs the monitor; any causal sink arms tracing
+   and any profile sink the profiler. *)
+let arm o =
+  let bundle = o.bundle_out <> None in
+  let armed wanted create = if wanted then Some (create ()) else None in
+  {
+    causal =
+      armed (bundle || o.blame || o.trace_out <> None || o.dag_out <> None)
+        Obsv.Causal.create;
+    prof =
+      armed (o.profile || o.profile_out <> None || o.collapsed_out <> None)
+        (fun () -> Obsv.Prof.create ~now_ns:Fleet.now_ns ());
+    mon =
+      armed (bundle || o.monitor || o.stop_on_violation) (fun () ->
+          Obsv.Monitor.create ~stop_on_violation:o.stop_on_violation ());
+    sampler = armed (o.series_out <> None) (fun () -> Obsv.Sampler.create ());
+    recorder = armed bundle (fun () -> Obsv.Recorder.create ());
+  }
+
+let dump_causal c ~trace_out ~dag_out ~payments =
+  write_sink trace_out (Obsv.Causal.to_chrome ~payments c);
+  write_sink dag_out (Obsv.Causal.to_jsonl c)
+
+let dump_prof ?(top = 15) ~table prof ~profile_out ~collapsed_out =
+  Option.iter
+    (fun p ->
+      if table then Fmt.pr "%a" (Obsv.Prof.pp_top ~n:top) p;
+      write_sink profile_out (Obsv.Prof.to_json p);
+      write_sink collapsed_out (Obsv.Prof.to_collapsed p))
+    prof
+
+(* Everything an observed run writes once it ends, in this order: the
+   monitor verdict, the series, the bundle ([bundle] returns one only for
+   a run that failed), the blame report with the causal exports, and the
+   profile. *)
+let write_observed o w ~bundle ~blame ~payments =
   Option.iter
     (fun m ->
       match Obsv.Monitor.first_trip m with
@@ -259,29 +409,49 @@ let print_monitor_verdict monitor =
             tr.Obsv.Monitor.detail
       | None ->
           Fmt.pr "monitor: clean after %d steps@." (Obsv.Monitor.steps m))
-    monitor
+    w.mon;
+  Option.iter (fun s -> write_sink o.series_out (Obsv.Sampler.to_jsonl s)) w.sampler;
+  (match (w.recorder, w.mon) with
+  | Some recorder, Some monitor ->
+      Option.iter (write_sink o.bundle_out) (bundle ~monitor ~recorder)
+  | _ -> ());
+  Option.iter
+    (fun c ->
+      if o.blame then blame c;
+      dump_causal c ~trace_out:o.trace_out ~dag_out:o.dag_out
+        ~payments:(payments c))
+    w.causal;
+  dump_prof ~table:o.profile w.prof ~profile_out:o.profile_out
+    ~collapsed_out:o.collapsed_out
+
+(* a single payment's blame report: root is the run's first causal node
+   (the initial on_start send at t=0) *)
+let print_payment_blame c ~delta ~sink =
+  if Obsv.Causal.node_count c = 0 || sink < 0 then
+    Fmt.pr "blame: no settlement sink recorded (payment never paid out)@."
+  else begin
+    let r = Obsv.Blame.attribute ~delta c ~root:0 ~sink in
+    Fmt.pr "%a@." Obsv.Blame.pp_report r;
+    Fmt.pr "critical path:@.%a@." (Obsv.Blame.pp_path c) r
+  end
+
+(* Soak and hunt ship the forensic bundle of their first violation by
+   replaying its (seed, plan) with the full watch armed: same inputs, so
+   the replay is the violating run, bit for bit. *)
+let replay_bundle ~hops ~protocol ~bundle_out first =
+  match (bundle_out, first) with
+  | Some _, Some (seed, plan) ->
+      let monitor = Obsv.Monitor.create () in
+      let recorder = Obsv.Recorder.create () in
+      let causal = Obsv.Causal.create () in
+      let r =
+        Xchain.Chaos.run_one ~hops ~protocol ~causal ~monitor ~recorder ~plan
+          ~seed ()
+      in
+      write_sink bundle_out (Xchain.Chaos.bundle ~causal ~monitor ~recorder r)
+  | _ -> ()
 
 (* ------------------------------- pay ---------------------------------- *)
-
-let protocol_conv =
-  let parse = function
-    | "sync" -> Ok `Sync
-    | "naive" -> Ok `Naive
-    | "htlc" -> Ok `Htlc
-    | "weak" -> Ok `Weak
-    | "committee" -> Ok `Committee
-    | s -> Error (`Msg (Printf.sprintf "unknown protocol %S" s))
-  in
-  let print ppf p =
-    Fmt.string ppf
-      (match p with
-      | `Sync -> "sync"
-      | `Naive -> "naive"
-      | `Htlc -> "htlc"
-      | `Weak -> "weak"
-      | `Committee -> "committee")
-  in
-  Arg.conv (parse, print)
 
 let pay_cmd =
   let run protocol hops value commission drift gst patience seed trace_wanted
@@ -301,8 +471,9 @@ let pay_cmd =
       | `Committee -> Xchain.Api.Weak_committee { patience; f = 1 }
     in
     let result =
-      Xchain.Api.pay ~hops ~value ~commission ~drift_ppm:drift ~network
-        ~protocol ~seed ()
+      surface_invalid ~cmd:"pay" (fun () ->
+          Xchain.Api.pay ~hops ~value ~commission ~drift_ppm:drift ~network
+            ~protocol ~seed ())
     in
     Fmt.pr "%a@." Xchain.Api.pp_result result;
     if trace_wanted then
@@ -318,14 +489,6 @@ let pay_cmd =
     dump_telemetry ~metrics_out ~spans_out;
     if result.Xchain.Api.all_properties_hold then 0 else 1
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
-  in
-  let hops =
-    Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Number of escrows.")
-  in
   let value = Arg.(value & opt int 1000 & info [ "value" ] ~doc:"Amount Bob is owed.") in
   let commission =
     Arg.(value & opt int 10 & info [ "commission" ] ~doc:"Per-connector commission.")
@@ -333,14 +496,9 @@ let pay_cmd =
   let drift =
     Arg.(value & opt int 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift in ppm.")
   in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST (default: synchronous).")
-  in
   let patience =
     Arg.(value & opt int 20_000 & info [ "patience" ] ~doc:"Weak-protocol patience.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let trace =
     Arg.(value & flag & info [ "trace" ] ~doc:"Print the full event trace.")
   in
@@ -352,8 +510,10 @@ let pay_cmd =
   Cmd.v
     (Cmd.info "pay" ~doc:"Run one cross-chain payment and check the paper's properties")
     Term.(
-      const run $ protocol $ hops $ value $ commission $ drift $ gst $ patience
-      $ seed $ trace $ jsonl $ metrics_out_arg $ spans_out_arg)
+      const run $ protocol_arg ()
+      $ hops_arg ~cmd:"pay" ~doc:"Number of escrows." 2
+      $ value $ commission $ drift $ gst_arg () $ patience $ seed_arg 1 $ trace
+      $ jsonl $ metrics_out_arg $ spans_out_arg)
 
 (* ---------------------------- experiment ------------------------------- *)
 
@@ -362,30 +522,24 @@ let experiment_cmd =
     arm_span_capture spans_out;
     let scale = if full then Xchain.Experiments.Full else Xchain.Experiments.Quick in
     let domains = resolve_domains ~cmd:"experiment" j in
-    let code =
-      match name with
-      | "all" ->
-          List.iter
-            (fun t -> Fmt.pr "%a@." Xchain.Table.render t)
-            (Xchain.Experiments.all ~domains scale);
-          0
-      | "e12" ->
-          (* the one experiment with a fleet-sharded inner loop, so the
-             named path must forward -j like the "all" path does *)
-          Fmt.pr "%a@." Xchain.Table.render
-            (Xchain.Experiments.e12_exhaustive_corners ~domains scale);
-          0
-      | name -> (
-          match Xchain.Experiments.by_name name with
-          | Some f ->
-              Fmt.pr "%a@." Xchain.Table.render (f scale);
-              0
-          | None ->
-              Fmt.epr "unknown experiment %S (use e1..e12 or all)@." name;
-              2)
-    in
-    if code = 0 then dump_telemetry ~metrics_out ~spans_out;
-    code
+    (match name with
+    | "all" ->
+        List.iter
+          (fun t -> Fmt.pr "%a@." Xchain.Table.render t)
+          (Xchain.Experiments.all ~domains scale)
+    | "e12" ->
+        (* the one experiment with a fleet-sharded inner loop, so the
+           named path must forward -j like the "all" path does *)
+        Fmt.pr "%a@." Xchain.Table.render
+          (Xchain.Experiments.e12_exhaustive_corners ~domains scale)
+    | name -> (
+        match Xchain.Experiments.by_name name with
+        | Some f -> Fmt.pr "%a@." Xchain.Table.render (f scale)
+        | None ->
+            die ~cmd:"experiment" "unknown experiment %S (use e1..e14 or all)"
+              name));
+    dump_telemetry ~metrics_out ~spans_out;
+    0
   in
   let name_arg =
     Arg.(value & pos 0 string "all"
@@ -405,7 +559,8 @@ let experiment_cmd =
 let params_cmd =
   let run hops delta sigma drift margin =
     let p =
-      Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin }
+      surface_invalid ~cmd:"params" (fun () ->
+          Params.derive { Params.hops; delta; sigma; drift_ppm = drift; margin })
     in
     Fmt.pr "%a@." Params.pp p;
     (match Params.check p with
@@ -416,95 +571,76 @@ let params_cmd =
         Fmt.pr "recurrence check: %s@." e;
         1)
   in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
   let delta = Arg.(value & opt int 100 & info [ "delta" ] ~doc:"Message delay bound.") in
   let sigma = Arg.(value & opt int 10 & info [ "sigma" ] ~doc:"Computation bound.") in
   let drift = Arg.(value & opt int 10_000 & info [ "drift-ppm" ] ~doc:"Clock drift, ppm.") in
   let margin = Arg.(value & opt int 5 & info [ "margin" ] ~doc:"Safety margin, ticks.") in
   Cmd.v
     (Cmd.info "params" ~doc:"Derive the a/d timeout windows (the Thm 1 fine-tuning)")
-    Term.(const run $ hops $ delta $ sigma $ drift $ margin)
+    Term.(const run $ hops_arg ~cmd:"params" 3 $ delta $ sigma $ drift $ margin)
 
 (* ------------------------------- audit --------------------------------- *)
 
-let parse_fault topo spec =
-  (* "strategy@role", e.g. "thief-escrow@e0", "mute@bob", "forge-chi@chloe2" *)
-  match String.split_on_char '@' spec with
-  | [ strat; role ] ->
-      let pid =
-        match role with
-        | "alice" -> Topology.alice topo
-        | "bob" -> Topology.bob topo
-        | r when String.length r > 5 && String.sub r 0 5 = "chloe" ->
-            Topology.customer topo (int_of_string (String.sub r 5 (String.length r - 5)))
-        | r when String.length r > 1 && r.[0] = 'e' ->
-            Topology.escrow topo (int_of_string (String.sub r 1 (String.length r - 1)))
-        | r -> failwith (Printf.sprintf "unknown role %S" r)
-      in
-      let strategy =
-        match strat with
-        | "crash" -> Byzantine.Crash_at_start
-        | "mute" -> Byzantine.Mute
-        | "thief-escrow" -> Byzantine.Thief_escrow
-        | "premature-refund" -> Byzantine.Premature_refund_escrow
-        | "no-resolve" -> Byzantine.No_resolve_escrow
-        | "eager-chi" -> Byzantine.Eager_chi_bob
-        | "withhold-chi" -> Byzantine.Withhold_chi_bob
-        | "forge-chi" -> Byzantine.Forge_chi_connector
-        | "double-money" -> Byzantine.Double_money_customer
-        | "never-deposit" -> Byzantine.Never_deposit
-        | "false-funded" -> Byzantine.False_funded_escrow
-        | s -> failwith (Printf.sprintf "unknown strategy %S" s)
-      in
-      (pid, strategy)
-  | _ -> failwith (Printf.sprintf "fault %S is not strategy@role" spec)
+(* --fault specs (audit / chaos): "strategy@role", e.g. "thief-escrow@e0",
+   "mute@bob", "forge-chi@chloe2"; role indices are checked against the
+   chain *)
+let parse_faults ~cmd ~hops specs =
+  let topo = Topology.create ~hops in
+  let parse spec =
+    match String.split_on_char '@' spec with
+    | [ strat; role ] ->
+        let indexed ~prefix ~what ~last pid =
+          let k = String.length prefix in
+          match int_of_string_opt (String.sub role k (String.length role - k)) with
+          | Some i when i >= 0 && i <= last -> pid topo i
+          | _ -> die ~cmd "fault %S: %s index must be 0..%d" spec what last
+        in
+        let pid =
+          match role with
+          | "alice" -> Topology.alice topo
+          | "bob" -> Topology.bob topo
+          | r when String.length r > 5 && String.sub r 0 5 = "chloe" ->
+              indexed ~prefix:"chloe" ~what:"customer" ~last:hops Topology.customer
+          | r when String.length r > 1 && r.[0] = 'e' ->
+              indexed ~prefix:"e" ~what:"escrow" ~last:(hops - 1) Topology.escrow
+          | r -> die ~cmd "unknown role %S" r
+        in
+        let strategy =
+          match strat with
+          | "crash" -> Byzantine.Crash_at_start
+          | "mute" -> Byzantine.Mute
+          | "thief-escrow" -> Byzantine.Thief_escrow
+          | "premature-refund" -> Byzantine.Premature_refund_escrow
+          | "no-resolve" -> Byzantine.No_resolve_escrow
+          | "eager-chi" -> Byzantine.Eager_chi_bob
+          | "withhold-chi" -> Byzantine.Withhold_chi_bob
+          | "forge-chi" -> Byzantine.Forge_chi_connector
+          | "double-money" -> Byzantine.Double_money_customer
+          | "never-deposit" -> Byzantine.Never_deposit
+          | "false-funded" -> Byzantine.False_funded_escrow
+          | s -> die ~cmd "unknown strategy %S" s
+        in
+        (pid, strategy)
+    | _ -> die ~cmd "fault %S is not strategy@role" spec
+  in
+  List.map parse specs
 
 let audit_cmd =
+  let cmd = "audit" in
   let run protocol hops gst seed fault_specs metrics_out spans_out =
     arm_span_capture spans_out;
-    let topo = Topology.create ~hops in
-    let faults =
-      try List.map (parse_fault topo) fault_specs
-      with Failure m ->
-        Fmt.epr "%s@." m;
-        exit 2
-    in
+    let faults = parse_faults ~cmd ~hops fault_specs in
     let cfg =
-      {
-        (Runner.default_config ~hops ~seed) with
-        network =
-          (match gst with None -> Runner.Sync | Some gst -> Runner.Psync { gst });
-        faults;
-      }
+      { (Runner.default_config ~hops ~seed) with
+        network = runner_network gst;
+        faults }
     in
-    let runner_protocol =
-      match protocol with
-      | `Sync -> Runner.Sync_timebound
-      | `Naive -> Runner.Naive_universal
-      | `Htlc -> Runner.Htlc
-      | `Weak -> Runner.Weak Weak_protocol.default_config
-      | `Committee ->
-          Runner.Weak
-            { Weak_protocol.default_config with
-              tm = Weak_protocol.Committee { f = 1 } }
-    in
-    let outcome = Runner.run cfg runner_protocol in
+    let outcome = surface_invalid ~cmd (fun () -> Runner.run cfg protocol) in
     let report = Xchain.Report.build outcome in
     Fmt.pr "%a@." Xchain.Report.pp report;
     dump_telemetry ~metrics_out ~spans_out;
     if Props.Verdict.all_hold report.Xchain.Report.verdicts then 0 else 1
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
-  in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST.")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let faults =
     Arg.(value & opt_all string []
          & info [ "fault" ] ~docv:"STRATEGY@ROLE"
@@ -513,8 +649,9 @@ let audit_cmd =
   Cmd.v
     (Cmd.info "audit"
        ~doc:"Run a payment and print the full postmortem (verdicts, promise              breaches, Figure 2 conformance)")
-    Term.(const run $ protocol $ hops $ gst $ seed $ faults $ metrics_out_arg
-          $ spans_out_arg)
+    Term.(const run $ runner_protocol_arg () $ hops_arg ~cmd 3
+          $ gst_arg ~doc:"Partial synchrony with this GST." ()
+          $ seed_arg 1 $ faults $ metrics_out_arg $ spans_out_arg)
 
 (* ------------------------------- metrics ------------------------------- *)
 
@@ -581,6 +718,7 @@ let metrics_cmd =
 (* -------------------------------- deal --------------------------------- *)
 
 let deal_cmd =
+  let cmd = "deal" in
   let run which protocol gst seed lazy_party =
     let deal =
       match which with
@@ -589,18 +727,21 @@ let deal_cmd =
       | "broker" -> Deals.Deal.broker_dag ()
       | "disconnected" -> Deals.Deal.disconnected_pair ()
       | other ->
-          Fmt.epr "unknown deal %S (swap | cycle | broker | disconnected)@."
-            other;
-          exit 2
+          die ~cmd "unknown deal %S (swap | cycle | broker | disconnected)"
+            other
     in
     let proto =
       match protocol with
       | "timelock" -> Deals.Deal_runner.Timelock
       | "cbc" -> Deals.Deal_runner.Cbc
-      | other ->
-          Fmt.epr "unknown protocol %S (timelock | cbc)@." other;
-          exit 2
+      | other -> die ~cmd "unknown protocol %S (timelock | cbc)" other
     in
+    Option.iter
+      (fun p ->
+        let last = Deals.Deal.parties deal - 1 in
+        if p < 0 || p > last then
+          die ~cmd "--lazy %d: the %s deal has parties 0..%d" p which last)
+      lazy_party;
     let cfg =
       { (Deals.Deal_runner.default_config deal proto) with gst; seed }
     in
@@ -633,11 +774,6 @@ let deal_cmd =
     Arg.(value & opt string "timelock"
          & info [ "p"; "protocol" ] ~doc:"timelock | cbc.")
   in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST.")
-  in
-  let seed = Arg.(value & opt int 11 & info [ "seed" ] ~doc:"Schedule seed.") in
   let lazy_party =
     Arg.(value & opt (some int) None
          & info [ "lazy" ] ~docv:"PARTY"
@@ -646,7 +782,9 @@ let deal_cmd =
   Cmd.v
     (Cmd.info "deal"
        ~doc:"Run a Herlihy-Liskov-Shrira cross-chain deal (§5) and check its              properties")
-    Term.(const run $ which $ protocol $ gst $ seed $ lazy_party)
+    Term.(const run $ which $ protocol
+          $ gst_arg ~doc:"Partial synchrony with this GST." ()
+          $ seed_arg 11 $ lazy_party)
 
 (* --- graph topologies (chaos / hunt / load / route) --- *)
 
@@ -675,92 +813,31 @@ let hops_of_topology ~cmd ~value ~hops = function
       (match Routing.Router.route router ~avail ~value ~max_splits:1 with
       | Ok (s :: _) -> List.length s.Routing.Router.path
       | Ok [] -> assert false (* route never returns an empty split list *)
-      | Error e ->
-          Fmt.epr "xchain %s: --topology: %s@." cmd e;
-          exit 2)
+      | Error e -> die ~cmd "--topology: %s" e)
 
 (* -------------------------------- chaos -------------------------------- *)
 
-let runner_protocol_of = function
-  | `Sync -> Runner.Sync_timebound
-  | `Naive -> Runner.Naive_universal
-  | `Htlc -> Runner.Htlc
-  | `Weak -> Runner.Weak Weak_protocol.default_config
-  | `Committee ->
-      Runner.Weak
-        { Weak_protocol.default_config with
-          tm = Weak_protocol.Committee { f = 1 } }
-
-(* Runner validates fault plans against the protocol's real process
-   count (payment pids plus any TM pids) — the CLI cannot know that
-   count without re-deriving protocol internals, so an out-of-range pid
-   in a syntactically valid plan surfaces as Invalid_argument from the
-   run itself. Turn that into a clean diagnostic instead of a crash. *)
-let surface_bad_plan ~cmd f =
-  match f () with
-  | v -> v
-  | exception Invalid_argument e ->
-      let e =
-        let prefix = "Runner.run: " in
-        if String.starts_with ~prefix e then
-          String.sub e (String.length prefix)
-            (String.length e - String.length prefix)
-        else e
-      in
-      Fmt.epr "xchain %s: %s@." cmd e;
-      exit 2
-
 let chaos_cmd =
+  let cmd = "chaos" in
   let run protocol hops topology seed plan plan_file soak runs j out repro_out
-      metrics_out trace_out dag_out blame profile profile_out collapsed_out
-      fault_specs monitor stop_on_violation series_out bundle_out =
-    let protocol = runner_protocol_of protocol in
-    let hops = hops_of_topology ~cmd:"chaos" ~value:1000 ~hops topology in
-    if out <> None && not soak then begin
-      Fmt.epr "xchain chaos: --out requires --soak@.";
-      exit 2
-    end;
-    if soak && (stop_on_violation || series_out <> None || fault_specs <> [])
-    then begin
-      Fmt.epr
-        "xchain chaos: --soak is incompatible with \
-         --stop-on-violation/--series-out/--fault (replay a single run \
-         from its repro line for per-run telemetry)@.";
-      exit 2
-    end;
-    let faults =
-      let topo = Topology.create ~hops in
-      try List.map (parse_fault topo) fault_specs
-      with Failure m ->
-        Fmt.epr "xchain chaos: %s@." m;
-        exit 2
-    in
-    let parse_plan ~what s =
-      match Faults.Fault_plan.of_string s with
-      | Ok p -> p
-      | Error e ->
-          Fmt.epr "xchain chaos: bad fault plan (%s): %s@." what e;
-          exit 2
-    in
-    let plan =
-      match (plan_file, plan) with
-      | Some file, _ -> (
-          match In_channel.with_open_text file In_channel.input_all with
-          | contents -> parse_plan ~what:file (String.trim contents)
-          | exception Sys_error msg ->
-              Fmt.epr "xchain chaos: cannot read plan file: %s@." msg;
-              exit 2)
-      | None, Some s -> parse_plan ~what:"--plan" s
-      | None, None -> Faults.Fault_plan.none
-    in
-    let prof = prof_wanted ~profile ~profile_out ~collapsed_out in
+      metrics_out fault_specs o =
+    let hops = hops_of_topology ~cmd ~value:1000 ~hops topology in
+    require ~cmd (out = None || soak) "--out requires --soak";
+    require ~cmd
+      (not (soak && (o.stop_on_violation || o.series_out <> None || fault_specs <> [])))
+      "--soak is incompatible with --stop-on-violation/--series-out/--fault \
+       (replay a single run from its repro line for per-run telemetry)";
+    let faults = parse_faults ~cmd ~hops fault_specs in
+    let plan = read_plan ~cmd ?plan_file plan in
+    let w = arm o in
     let code =
       if soak then begin
-        let domains = resolve_domains ~cmd:"chaos" j in
+        let domains = resolve_domains ~cmd j in
+        require ~cmd (runs >= 0) "--runs must be >= 0";
         (* live tty health line: outcome taxonomy instead of a bare
            completion count, only when the monitor is armed *)
         let on_health =
-          if monitor && Unix.isatty Unix.stderr then
+          if o.monitor && Unix.isatty Unix.stderr then
             Some
               (fun (h : Xchain.Chaos.health) ->
                 Printf.eprintf
@@ -777,96 +854,51 @@ let chaos_cmd =
           if on_health <> None then None else tty_progress "chaos soak"
         in
         let s =
-          Xchain.Chaos.soak ~hops ~protocol ~runs ~seed ~domains ?prof
-            ~monitor ?on_progress ?on_health ()
+          Xchain.Chaos.soak ~hops ~protocol ~runs ~seed ~domains ?prof:w.prof
+            ~monitor:o.monitor ?on_progress ?on_health ()
         in
         Fmt.pr "%a@." Xchain.Chaos.pp_summary s;
-        dump_prof ~table:profile prof ~profile_out ~collapsed_out;
+        dump_prof ~table:o.profile w.prof ~profile_out:o.profile_out
+          ~collapsed_out:o.collapsed_out;
         write_sink out (Xchain.Chaos.summary_to_json ~hops ~protocol ~seed s);
-        (match repro_out with
-        | None -> ()
-        | Some file ->
-            let lines =
-              List.map Xchain.Chaos.repro_line s.Xchain.Chaos.violations
-            in
-            write_sink (Some file)
-              (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
-        (* forensic bundle for the soak's first violation: replay it with
-           the full watch armed — same (seed, plan), so the replay is the
-           violating run, bit for bit *)
-        (match (bundle_out, s.Xchain.Chaos.violations) with
-        | Some _, v :: _ ->
-            let m = Obsv.Monitor.create () in
-            let rc = Obsv.Recorder.create () in
-            let c = Obsv.Causal.create () in
-            let r =
-              Xchain.Chaos.run_one ~hops ~protocol ~causal:c ~monitor:m
-                ~recorder:rc ~plan:v.Xchain.Chaos.plan
-                ~seed:v.Xchain.Chaos.seed ()
-            in
-            write_sink bundle_out
-              (Xchain.Chaos.bundle ~causal:c ~monitor:m ~recorder:rc r)
-        | _ -> ());
+        write_lines repro_out
+          (List.map Xchain.Chaos.repro_line s.Xchain.Chaos.violations);
+        replay_bundle ~hops ~protocol ~bundle_out:o.bundle_out
+          (match s.Xchain.Chaos.violations with
+          | v :: _ -> Some (v.Xchain.Chaos.seed, v.Xchain.Chaos.plan)
+          | [] -> None);
         if s.Xchain.Chaos.violations = [] then 0 else 1
       end
       else begin
-        let mon, sampler, recorder =
-          watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out
-        in
-        let causal =
-          match
-            (causal_wanted ~trace_out ~dag_out ~blame, bundle_out)
-          with
-          | Some c, _ -> Some c
-          | None, Some _ -> Some (Obsv.Causal.create ())
-          | None, None -> None
-        in
         let r =
-          surface_bad_plan ~cmd:"chaos" (fun () ->
-              Xchain.Chaos.run_one ~hops ~protocol ?causal ?prof ?monitor:mon
-                ?sampler ?recorder ~faults ~plan ~seed ())
+          surface_invalid ~cmd (fun () ->
+              Xchain.Chaos.run_one ~hops ~protocol ?causal:w.causal ?prof:w.prof
+                ?monitor:w.mon ?sampler:w.sampler ?recorder:w.recorder ~faults
+                ~plan ~seed ())
         in
+        let cls = Xchain.Chaos.classification_name r.Xchain.Chaos.classification in
         Fmt.pr "plan: %a@.classification: %s@." Faults.Fault_plan.pp
-          r.Xchain.Chaos.plan
-          (Xchain.Chaos.classification_name r.Xchain.Chaos.classification);
+          r.Xchain.Chaos.plan cls;
         List.iter
           (fun v ->
             Fmt.pr "violated %s: %s@." v.Props.Verdict.property
               v.Props.Verdict.detail)
           r.Xchain.Chaos.failures;
-        print_monitor_verdict mon;
-        (match sampler with
-        | None -> ()
-        | Some s -> write_sink series_out (Obsv.Sampler.to_jsonl s));
-        (match (recorder, mon, r.Xchain.Chaos.classification) with
-        | ( Some rc,
-            Some m,
-            (Xchain.Chaos.Safety_violation | Xchain.Chaos.Stuck) ) ->
-            write_sink bundle_out
-              (Xchain.Chaos.bundle ?causal ~monitor:m ~recorder:rc r)
-        | _ -> ());
-        let cls = Xchain.Chaos.classification_name r.Xchain.Chaos.classification in
-        if blame then
-          Option.iter
-            (fun c ->
-              let cfg = Runner.default_config ~hops ~seed in
-              print_payment_blame c
-                ~delta:(cfg.Runner.delta + cfg.Runner.sigma)
-                ~sink:
-                  (if r.Xchain.Chaos.paid_node >= 0 then
-                     r.Xchain.Chaos.paid_node
-                   else r.Xchain.Chaos.settled_node))
-            causal;
-        dump_causal causal ~trace_out ~dag_out
-          ~payments:
-            [
-              ( Runner.protocol_name protocol,
-                0,
-                0,
-                r.Xchain.Chaos.end_time,
-                cls );
-            ];
-        dump_prof ~table:profile prof ~profile_out ~collapsed_out;
+        write_observed o w
+          ~bundle:(fun ~monitor ~recorder ->
+            match r.Xchain.Chaos.classification with
+            | Xchain.Chaos.Safety_violation | Xchain.Chaos.Stuck ->
+                Some (Xchain.Chaos.bundle ?causal:w.causal ~monitor ~recorder r)
+            | _ -> None)
+          ~blame:(fun c ->
+            let cfg = Runner.default_config ~hops ~seed in
+            print_payment_blame c
+              ~delta:(cfg.Runner.delta + cfg.Runner.sigma)
+              ~sink:
+                (if r.Xchain.Chaos.paid_node >= 0 then r.Xchain.Chaos.paid_node
+                 else r.Xchain.Chaos.settled_node))
+          ~payments:(fun _ ->
+            [ (Runner.protocol_name protocol, 0, 0, r.Xchain.Chaos.end_time, cls) ]);
         match r.Xchain.Chaos.classification with
         | Xchain.Chaos.Safety_violation ->
             Fmt.pr "repro: %s@." (Xchain.Chaos.repro_line r);
@@ -877,26 +909,11 @@ let chaos_cmd =
     dump_telemetry ~metrics_out ~spans_out:None;
     code
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
-  in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ] ~doc:"Schedule seed (soak: seed of run 0).")
-  in
   let plan =
     Arg.(value & opt (some string) None
          & info [ "plan" ] ~docv:"PLAN"
              ~doc:"Fault plan, e.g. 'drop *>3 0.2; crash 2AT500+800' (see \
                    docs/fault_injection.md for the grammar). Default: none.")
-  in
-  let plan_file =
-    Arg.(value & opt (some string) None
-         & info [ "plan-file" ] ~docv:"FILE"
-             ~doc:"Read the fault plan from $(docv) (overrides --plan).")
   in
   let soak =
     Arg.(value & flag
@@ -932,35 +949,33 @@ let chaos_cmd =
   Cmd.v
     (Cmd.info "chaos"
        ~doc:"Run payments under a declarative fault plan (lossy links,               crashes, partitions), or soak hundreds of random plans and check              the safety properties")
-    Term.(const run $ protocol $ hops
+    Term.(const run
+          $ runner_protocol_arg
+              ~doc:"Protocol under test: sync | naive | htlc | weak | committee." ()
+          $ hops_arg ~cmd 2
           $ topology_arg
               ~extra:
                 "The run's hop count becomes the cheapest source-to-sink \
                  path's length (overrides --hops)."
-          $ seed $ plan $ plan_file $ soak $ runs
-          $ jobs_arg $ out $ repro_out $ metrics_out_arg $ trace_out_arg
-          $ dag_out_arg $ blame_arg $ profile_flag $ profile_out_arg
-          $ collapsed_out_arg $ faults $ monitor_flag
-          $ stop_on_violation_flag $ series_out_arg $ bundle_out_arg)
+          $ seed_arg ~doc:"Schedule seed (soak: seed of run 0)." 1
+          $ plan $ plan_file_arg $ soak $ runs $ jobs_arg $ out $ repro_out
+          $ metrics_out_arg $ faults $ observe_term)
 
 (* -------------------------------- hunt --------------------------------- *)
 
 let hunt_cmd =
+  let cmd = "hunt" in
   let run protocol hops topology seed budget gen_size j baseline no_shrink
       max_shrink_trials out corpus_out repros_out metrics_out bundle_out =
-    let protocol = runner_protocol_of protocol in
-    let hops = hops_of_topology ~cmd:"hunt" ~value:1000 ~hops topology in
-    if budget <= 0 then begin
-      Fmt.epr "xchain hunt: --budget must be positive@.";
-      exit 2
-    end;
-    if gen_size <= 0 then begin
-      Fmt.epr "xchain hunt: --gen must be positive@.";
-      exit 2
-    end;
-    let domains = resolve_domains ~cmd:"hunt" j in
+    let hops = hops_of_topology ~cmd ~value:1000 ~hops topology in
+    require ~cmd (budget > 0) "--budget must be positive";
+    require ~cmd (gen_size > 0) "--gen must be positive";
+    require ~cmd
+      (Option.value max_shrink_trials ~default:0 >= 0)
+      "--max-shrink-trials must be >= 0";
+    let domains = resolve_domains ~cmd j in
     let r =
-      surface_bad_plan ~cmd:"hunt" (fun () ->
+      surface_invalid ~cmd (fun () ->
           Hunt.Search.hunt ~hops ~protocol ~gen_size ~domains ~baseline
             ~shrink:(not no_shrink) ?max_shrink_trials
             ?on_progress:(tty_progress "hunt") ~budget ~seed ())
@@ -968,46 +983,16 @@ let hunt_cmd =
     Fmt.pr "@[<v>%a@]@." Hunt.Search.pp_report r;
     write_sink out (Hunt.Search.report_to_json r);
     write_sink corpus_out (Hunt.Search.corpus_to_jsonl r);
-    (match repros_out with
-    | None -> ()
-    | Some file ->
-        let lines = Hunt.Search.repro_lines r in
-        write_sink (Some file)
-          (String.concat "" (List.map (fun l -> l ^ "\n") lines)));
-    (* forensic bundle for the hunt's first violating witness: replay its
-       (seed, plan) with the full watch armed *)
-    (match
-       ( bundle_out,
-         List.find_opt
-           (fun (e : Hunt.Search.entry) ->
-             e.Hunt.Search.classification = Xchain.Chaos.Safety_violation)
-           r.Hunt.Search.corpus )
-     with
-    | Some _, Some e ->
-        let m = Obsv.Monitor.create () in
-        let rc = Obsv.Recorder.create () in
-        let c = Obsv.Causal.create () in
-        let rr =
-          Xchain.Chaos.run_one ~hops ~protocol ~causal:c ~monitor:m
-            ~recorder:rc ~plan:e.Hunt.Search.plan ~seed:e.Hunt.Search.seed ()
-        in
-        write_sink bundle_out
-          (Xchain.Chaos.bundle ~causal:c ~monitor:m ~recorder:rc rr)
-    | _ -> ());
+    write_lines repros_out (Hunt.Search.repro_lines r);
+    replay_bundle ~hops ~protocol ~bundle_out
+      (List.find_map
+         (fun (e : Hunt.Search.entry) ->
+           if e.Hunt.Search.classification = Xchain.Chaos.Safety_violation
+           then Some (e.Hunt.Search.seed, e.Hunt.Search.plan)
+           else None)
+         r.Hunt.Search.corpus);
     dump_telemetry ~metrics_out ~spans_out:None;
     if r.Hunt.Search.violations > 0 then 1 else 0
-  in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol under test: sync | naive | htlc | weak | committee.")
-  in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let seed =
-    Arg.(value & opt int 1
-         & info [ "seed" ]
-             ~doc:"Root seed; the whole hunt (corpus, repros) is a pure \
-                   function of it.")
   in
   let budget =
     Arg.(value & opt int 200
@@ -1061,47 +1046,43 @@ let hunt_cmd =
        ~doc:"Coverage-guided adversarial fault-plan search: mutate plans \
              toward unseen outcome signatures, then shrink every stuck or \
              violating witness to a minimal one-line repro")
-    Term.(const run $ protocol $ hops
+    Term.(const run
+          $ runner_protocol_arg
+              ~doc:"Protocol under test: sync | naive | htlc | weak | committee." ()
+          $ hops_arg ~cmd 2
           $ topology_arg
               ~extra:
                 "The hunt explores faults along the cheapest source-to-sink \
                  path (its length overrides --hops); signatures carry a \
                  path-shape bucket."
-          $ seed $ budget $ gen_size $ jobs_arg
+          $ seed_arg
+              ~doc:"Root seed; the whole hunt (corpus, repros) is a pure \
+                    function of it." 1
+          $ budget $ gen_size $ jobs_arg
           $ baseline $ no_shrink $ max_shrink_trials $ out $ corpus_out
           $ repros_out $ metrics_out_arg $ bundle_out_arg)
 
 (* ------------------------------- explore ------------------------------- *)
 
 let explore_cmd =
+  let cmd = "explore" in
   let run protocol hops drift max_corners j out metrics_out =
-    let protocol = runner_protocol_of protocol in
-    let domains = resolve_domains ~cmd:"explore" j in
-    match
-      Xchain.Explore.sweep ~hops ~drift_ppm:drift ~max_corners ~domains
-        ?on_progress:(tty_progress "explore") ~protocol ()
-    with
-    | exception Invalid_argument e ->
-        Fmt.epr "xchain explore: %s@." e;
-        exit 2
-    | r ->
-        Fmt.pr "explore: %d hops, %d corners — %d violations@." hops
-          r.Xchain.Explore.corners r.Xchain.Explore.violations;
-        (match r.Xchain.Explore.first_witness with
-        | Some w -> Fmt.pr "first witness: %s@." w
-        | None -> ());
-        write_sink out
-          (Xchain.Explore.result_to_json ~hops ~drift_ppm:drift ~protocol r);
-        dump_telemetry ~metrics_out ~spans_out:None;
-        if r.Xchain.Explore.violations = 0 then 0 else 1
+    let domains = resolve_domains ~cmd j in
+    let r =
+      surface_invalid ~cmd (fun () ->
+          Xchain.Explore.sweep ~hops ~drift_ppm:drift ~max_corners ~domains
+            ?on_progress:(tty_progress "explore") ~protocol ())
+    in
+    Fmt.pr "explore: %d hops, %d corners — %d violations@." hops
+      r.Xchain.Explore.corners r.Xchain.Explore.violations;
+    (match r.Xchain.Explore.first_witness with
+    | Some w -> Fmt.pr "first witness: %s@." w
+    | None -> ());
+    write_sink out
+      (Xchain.Explore.result_to_json ~hops ~drift_ppm:drift ~protocol r);
+    dump_telemetry ~metrics_out ~spans_out:None;
+    if r.Xchain.Explore.violations = 0 then 0 else 1
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol to enumerate: sync | naive | htlc (TM protocols \
-                   are not corner-enumerable).")
-  in
-  let hops = Arg.(value & opt int 1 & info [ "n"; "hops" ] ~doc:"Escrows.") in
   let drift =
     Arg.(value & opt int 50_000
          & info [ "drift-ppm" ] ~doc:"Clock drift bound for the corner clocks, ppm.")
@@ -1123,40 +1104,32 @@ let explore_cmd =
              small payment instance and check Definition 1 on each — \
              exit 0 iff the sweep is clean. The corner space shards over \
              -j domains with byte-identical results")
-    Term.(const run $ protocol $ hops $ drift $ max_corners $ jobs_arg $ out
+    Term.(const run
+          $ runner_protocol_arg
+              ~doc:"Protocol to enumerate: sync | naive | htlc (TM protocols \
+                    are not corner-enumerable)." ()
+          $ hops_arg ~cmd 1 $ drift $ max_corners $ jobs_arg $ out
           $ metrics_out_arg)
 
 (* ------------------------------- trace --------------------------------- *)
 
 let trace_cmd =
+  let cmd = "trace" in
   let run protocol hops gst seed plan out trace_out dag_out =
-    let protocol = runner_protocol_of protocol in
-    let fault_plan =
-      match plan with
-      | None -> None
-      | Some s -> (
-          match Faults.Fault_plan.of_string s with
-          | Ok p -> Some p
-          | Error e ->
-              Fmt.epr "xchain trace: bad fault plan: %s@." e;
-              exit 2)
-    in
+    let fault_plan = Option.map (fun s -> read_plan ~cmd (Some s)) plan in
     let causal = Obsv.Causal.create () in
     let cfg =
-      {
-        (Runner.default_config ~hops ~seed) with
-        Runner.network =
-          (match gst with
-          | None -> Runner.Sync
-          | Some gst -> Runner.Psync { gst });
+      { (Runner.default_config ~hops ~seed) with
+        Runner.network = runner_network gst;
         fault_plan;
-        causal = Some causal;
-      }
+        causal = Some causal }
     in
     let wall_t0 = Fleet.now_ns () in
-    let o = Runner.run cfg protocol in
+    let o = surface_invalid ~cmd (fun () -> Runner.run cfg protocol) in
     let wall_ns = max 1 (Fleet.now_ns () - wall_t0) in
     let committed = o.Runner.paid_node >= 0 in
+    let delta = cfg.Runner.delta + cfg.Runner.sigma in
+    let sink = if committed then o.Runner.paid_node else o.Runner.settled_node in
     Fmt.pr "protocol %s, %d hops, seed %d: %s, engine stopped at t=%d@."
       (Runner.protocol_name protocol)
       hops seed
@@ -1165,15 +1138,13 @@ let trace_cmd =
     Fmt.pr "causal graph: %d nodes, %d edges@."
       (Obsv.Causal.node_count causal)
       (Obsv.Causal.edge_count causal);
-    print_payment_blame causal
-      ~delta:(cfg.Runner.delta + cfg.Runner.sigma)
-      ~sink:(if committed then o.Runner.paid_node else o.Runner.settled_node);
+    print_payment_blame causal ~delta ~sink;
     let slice_end =
       if o.Runner.settled_node >= 0 then
         Obsv.Causal.time_of causal o.Runner.settled_node
       else o.Runner.end_time
     in
-    dump_causal (Some causal) ~trace_out ~dag_out
+    dump_causal causal ~trace_out ~dag_out
       ~payments:
         [
           ( Runner.protocol_name protocol,
@@ -1187,15 +1158,10 @@ let trace_cmd =
     | Some _ ->
         (* same convention as chaos/explore/load reports: everything
            deterministic except the trailing flat "timing" object *)
-        let sink =
-          if committed then o.Runner.paid_node else o.Runner.settled_node
-        in
         let blame_json =
           if sink >= 0 then
             Obsv.Blame.report_to_json
-              (Obsv.Blame.attribute
-                 ~delta:(cfg.Runner.delta + cfg.Runner.sigma)
-                 causal ~root:0 ~sink)
+              (Obsv.Blame.attribute ~delta causal ~root:0 ~sink)
           else "null"
         in
         write_sink out
@@ -1209,23 +1175,9 @@ let trace_cmd =
              (Obsv.Causal.node_count causal)
              (Obsv.Causal.edge_count causal)
              blame_json o.Runner.events wall_ns
-             (int_of_float
-                (float_of_int o.Runner.events
-                /. (float_of_int wall_ns /. 1e9)))));
+             (per_sec o.Runner.events wall_ns)));
     0
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Protocol: sync | naive | htlc | weak | committee.")
-  in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ]
-             ~doc:"Partial synchrony with this GST (default: synchronous).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Schedule seed.") in
   let plan =
     Arg.(value & opt (some string) None
          & info [ "plan" ] ~docv:"PLAN"
@@ -1246,40 +1198,34 @@ let trace_cmd =
              happens-before graph, print the critical path and the blame \
              decomposition of its end-to-end latency, and export the graph \
              as Chrome trace-event JSON or a DAG dump")
-    Term.(const run $ protocol $ hops $ gst $ seed $ plan $ out $ trace_out_arg
-          $ dag_out_arg)
+    Term.(const run $ runner_protocol_arg () $ hops_arg ~cmd 2 $ gst_arg ()
+          $ seed_arg 1 $ plan $ out $ trace_out_arg $ dag_out_arg)
 
 (* -------------------------------- load --------------------------------- *)
 
 let load_cmd =
+  let cmd = "load" in
   let run spec payments hops value commission arrival mix policy cap liquidity
       topology route splits patience stuck drift gst seed plan plan_file
-      trace_cap replications j out metrics_out spans_out trace_out dag_out
-      blame profile profile_out collapsed_out monitor stop_on_violation
-      series_out bundle_out =
+      trace_cap replications j out metrics_out spans_out o =
     arm_span_capture spans_out;
-    let fail fmt = Fmt.kstr (fun s -> Fmt.epr "xchain load: %s@." s; exit 2) fmt in
     let workload =
       match spec with
-      | Some s -> (
-          match Traffic.Workload.of_string s with
-          | Ok w -> w
-          | Error e -> fail "bad --spec: %s" e)
+      | Some s -> parse_arg ~cmd "--spec" Traffic.Workload.of_string s
       | None ->
-          let parse what f s = match f s with Ok v -> v | Error e -> fail "bad %s: %s" what e in
           let w =
             {
               (Traffic.Workload.default ~payments) with
               Traffic.Workload.hops;
               value;
               commission;
-              arrival = parse "--arrival" Traffic.Workload.arrival_of_string arrival;
-              mix = parse "--mix" Traffic.Workload.mix_of_string mix;
-              policy = parse "--policy" Traffic.Workload.policy_of_string policy;
+              arrival = parse_arg ~cmd "--arrival" Traffic.Workload.arrival_of_string arrival;
+              mix = parse_arg ~cmd "--mix" Traffic.Workload.mix_of_string mix;
+              policy = parse_arg ~cmd "--policy" Traffic.Workload.policy_of_string policy;
               cap;
               liquidity;
               topology;
-              route = parse "--route" Routing.Router.strategy_of_string route;
+              route = parse_arg ~cmd "--route" Routing.Router.strategy_of_string route;
               splits;
               patience;
               stuck_after = stuck;
@@ -1289,38 +1235,20 @@ let load_cmd =
           in
           (match Traffic.Workload.validate w with
           | Ok () -> w
-          | Error e -> fail "bad workload: %s" e)
+          | Error e -> die ~cmd "bad workload: %s" e)
     in
-    let plan =
-      let parse_plan ~what s =
-        match Faults.Fault_plan.of_string s with
-        | Ok p -> p
-        | Error e -> fail "bad fault plan (%s): %s" what e
-      in
-      match (plan_file, plan) with
-      | Some file, _ -> (
-          match In_channel.with_open_text file In_channel.input_all with
-          | contents -> parse_plan ~what:file (String.trim contents)
-          | exception Sys_error msg -> fail "cannot read plan file: %s" msg)
-      | None, Some s -> parse_plan ~what:"--plan" s
-      | None, None -> Faults.Fault_plan.none
-    in
-    if replications < 1 then fail "--replications must be >= 1";
+    let plan = read_plan ~cmd ?plan_file plan in
+    require ~cmd (replications >= 1) "--replications must be >= 1";
     if replications > 1 then begin
       (* Per-run telemetry sinks interleave nondeterministically across
          domains; the replication path only produces the deterministic
          aggregate (plus the strippable timing block). *)
-      if
-        spans_out <> None || trace_out <> None || dag_out <> None || blame
-        || metrics_out <> None || profile || profile_out <> None
-        || collapsed_out <> None || monitor || stop_on_violation
-        || series_out <> None || bundle_out <> None
-      then
-        fail
-          "--replications > 1 is incompatible with \
-           --spans-out/--metrics-out/--trace-out/--dag-out/--blame/--profile/--monitor/--series-out/--bundle-out \
-           (run a single replication for per-run telemetry)";
-      let domains = resolve_domains ~cmd:"load" j in
+      require ~cmd
+        (spans_out = None && metrics_out = None && not (observing o))
+        "--replications > 1 is incompatible with \
+         --spans-out/--metrics-out/--trace-out/--dag-out/--blame/--profile/--monitor/--series-out/--bundle-out \
+         (run a single replication for per-run telemetry)";
+      let domains = resolve_domains ~cmd j in
       Obsv.Span.set_capture Obsv.Span.default false;
       let outcomes, stats =
         Fleet.run ~domains
@@ -1334,7 +1262,7 @@ let load_cmd =
         Array.map
           (function
             | Error (f : Fleet.failure) ->
-                fail "replication %d raised: %s" f.Fleet.job f.Fleet.message
+                die ~cmd "replication %d raised: %s" f.Fleet.job f.Fleet.message
             | Ok r -> r)
           outcomes
       in
@@ -1366,68 +1294,27 @@ let load_cmd =
         (sum (fun r -> r.Traffic.Load.stuck))
         (sum (fun r -> r.Traffic.Load.violated))
         (if clean then "all clean" else "VIOLATIONS");
-      (match out with
-      | None -> ()
-      | Some _ ->
-          let buf = Buffer.create 4096 in
-          Buffer.add_string buf "{\"replications\":[";
-          Array.iteri
-            (fun i r ->
-              if i > 0 then Buffer.add_char buf ',';
-              Buffer.add_string buf (Traffic.Load.to_json r))
-            reports;
-          let events = sum (fun r -> r.Traffic.Load.events) in
-          let wall_ns = stats.Fleet.wall_ns in
-          Printf.bprintf buf
-            "],\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-            wall_ns stats.Fleet.domains
-            (int_of_float
-               (float_of_int events /. (float_of_int wall_ns /. 1e9)));
-          write_sink out (Buffer.contents buf));
+      write_sink out
+        (Printf.sprintf "{\"replications\":[%s],%s}\n"
+           (String.concat "," (Array.to_list (Array.map Traffic.Load.to_json reports)))
+           (timing_json ~events:(sum (fun r -> r.Traffic.Load.events)) stats));
       exit (if clean then 0 else 1)
     end;
-    let mon, sampler, recorder =
-      watch_wanted ~monitor ~stop_on_violation ~series_out ~bundle_out
-    in
-    let causal =
-      match (causal_wanted ~trace_out ~dag_out ~blame, bundle_out) with
-      | Some c, _ -> Some c
-      | None, Some _ -> Some (Obsv.Causal.create ())
-      | None, None -> None
-    in
-    let prof = prof_wanted ~profile ~profile_out ~collapsed_out in
+    let w = arm o in
     let report =
-      try
-        Traffic.Load.run ?causal ?prof ?monitor:mon ?sampler ?recorder ~plan
-          ~trace_capacity:trace_cap ~workload ~seed ()
-      with Invalid_argument e -> fail "%s" e
+      surface_invalid ~cmd (fun () ->
+          Traffic.Load.run ?causal:w.causal ?prof:w.prof ?monitor:w.mon
+            ?sampler:w.sampler ?recorder:w.recorder ~plan
+            ~trace_capacity:trace_cap ~workload ~seed ())
     in
     Fmt.pr "%a@." Traffic.Load.pp_summary report;
-    print_monitor_verdict mon;
-    (match sampler with
-    | None -> ()
-    | Some s -> write_sink series_out (Obsv.Sampler.to_jsonl s));
-    (match (recorder, mon) with
-    | Some rc, Some m ->
-        let failed =
+    write_observed o w
+      ~bundle:(fun ~monitor ~recorder ->
+        if
           report.Traffic.Load.violations <> []
           || (not report.Traffic.Load.conservation_ok)
           || report.Traffic.Load.stuck > 0
-        in
-        if failed then begin
-          let reason, property, detail, at =
-            match Obsv.Monitor.first_trip m with
-            | Some tr ->
-                ( "violation",
-                  tr.Obsv.Monitor.property,
-                  tr.Obsv.Monitor.detail,
-                  tr.Obsv.Monitor.at )
-            | None ->
-                ( "stuck",
-                  "-",
-                  "unsettled payments when the run stopped",
-                  report.Traffic.Load.makespan )
-          in
+        then
           let repro =
             Printf.sprintf "xchain load --spec '%s' --seed %d%s"
               (Traffic.Workload.to_string workload)
@@ -1437,33 +1324,28 @@ let load_cmd =
                  Printf.sprintf " --plan '%s'"
                    (Faults.Fault_plan.to_string plan))
           in
-          let dag = Option.map Xchain.Chaos.dag_slice_json causal in
-          write_sink bundle_out
-            (Obsv.Recorder.bundle_json ~reason ~property ~detail ~at ~repro
-               ?dag
+          Some
+            (Obsv.Recorder.bundle_json ~monitor
+               ~stuck:
+                 ( "unsettled payments when the run stopped",
+                   report.Traffic.Load.makespan )
+               ~repro ?causal:w.causal
                ~metrics:(Obsv.Metrics.to_json Obsv.Metrics.default)
-               rc)
-        end
-    | _ -> ());
-    if blame then
-      Option.iter
-        (fun agg -> Fmt.pr "%a@." Obsv.Blame.pp_agg agg)
-        report.Traffic.Load.blame;
-    Option.iter
-      (fun c ->
-        let payments =
-          List.map
-            (fun (k, r) ->
-              ( "pay#" ^ string_of_int k,
-                k,
-                Obsv.Causal.time_of c r.Obsv.Blame.root,
-                Obsv.Causal.time_of c r.Obsv.Blame.sink,
-                "committed" ))
-            report.Traffic.Load.blame_reports
-        in
-        dump_causal (Some c) ~trace_out ~dag_out ~payments)
-      causal;
-    dump_prof ~table:profile prof ~profile_out ~collapsed_out;
+               recorder)
+        else None)
+      ~blame:(fun _ ->
+        Option.iter
+          (fun agg -> Fmt.pr "%a@." Obsv.Blame.pp_agg agg)
+          report.Traffic.Load.blame)
+      ~payments:(fun c ->
+        List.map
+          (fun (k, r) ->
+            ( "pay#" ^ string_of_int k,
+              k,
+              Obsv.Causal.time_of c r.Obsv.Blame.root,
+              Obsv.Causal.time_of c r.Obsv.Blame.sink,
+              "committed" ))
+          report.Traffic.Load.blame_reports);
     write_sink out (Traffic.Load.to_json report ^ "\n");
     dump_telemetry ~metrics_out ~spans_out;
     if report.Traffic.Load.violations = [] && report.Traffic.Load.conservation_ok
@@ -1479,7 +1361,6 @@ let load_cmd =
   let payments =
     Arg.(value & opt int 100 & info [ "payments" ] ~doc:"Concurrent payment instances.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows per payment.") in
   let value = Arg.(value & opt int 1000 & info [ "value" ] ~doc:"What Bob is owed.") in
   let commission =
     Arg.(value & opt int 10 & info [ "commission" ] ~doc:"Per-connector commission.")
@@ -1539,21 +1420,11 @@ let load_cmd =
   let drift =
     Arg.(value & opt int 10_000 & info [ "drift" ] ~doc:"Clock drift bound, ppm.")
   in
-  let gst =
-    Arg.(value & opt (some int) None
-         & info [ "gst" ] ~doc:"Partial synchrony with this GST (default: synchronous).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
   let plan =
     Arg.(value & opt (some string) None
          & info [ "plan" ] ~docv:"PLAN"
              ~doc:"Fault plan over host pids 0..block-1, applied to every \
                    payment (see docs/fault_injection.md). Default: none.")
-  in
-  let plan_file =
-    Arg.(value & opt (some string) None
-         & info [ "plan-file" ] ~docv:"FILE"
-             ~doc:"Read the fault plan from $(docv) (overrides --plan).")
   in
   let trace_cap =
     Arg.(value & opt int 4096
@@ -1582,31 +1453,26 @@ let load_cmd =
              escrow liquidity, classify every outcome, check the safety \
              subset, and report throughput and latency percentiles")
     Term.(
-      const run $ spec $ payments $ hops $ value $ commission $ arrival $ mix
+      const run $ spec $ payments
+      $ hops_arg ~cmd ~doc:"Escrows per payment." 2
+      $ value $ commission $ arrival $ mix
       $ policy $ cap $ liquidity
       $ topology_arg
           ~extra:
             "Payments are routed source-to-sink over the graph's per-edge \
              liquidity instead of the fixed --hops chain (requires \
              --policy reserve)."
-      $ route $ splits $ patience $ stuck $ drift $ gst $ seed $ plan
-      $ plan_file $ trace_cap $ replications $ jobs_arg $ out $ metrics_out_arg
-      $ spans_out_arg $ trace_out_arg $ dag_out_arg $ blame_arg $ profile_flag
-      $ profile_out_arg $ collapsed_out_arg $ monitor_flag
-      $ stop_on_violation_flag $ series_out_arg $ bundle_out_arg)
+      $ route $ splits $ patience $ stuck $ drift $ gst_arg ()
+      $ seed_arg ~doc:"Run seed." 1
+      $ plan $ plan_file_arg $ trace_cap $ replications $ jobs_arg $ out
+      $ metrics_out_arg $ spans_out_arg $ observe_term)
 
 (* ------------------------------ committee ------------------------------ *)
 
 let committee_cmd =
+  let cmd = "committee" in
   let run committees batches pipeline payments hops patience gst seed j out
       metrics_out =
-    let fail fmt =
-      Fmt.kstr
-        (fun s ->
-          Fmt.epr "xchain committee: %s@." s;
-          exit 2)
-        fmt
-    in
     let parse_committee s =
       (* family:size:f[:faulty] — batch and pipeline come from the sweep *)
       match String.split_on_char ':' s with
@@ -1619,8 +1485,8 @@ let committee_cmd =
           with
           | Some size, Some f, Some faulty ->
               (fam, size, f, faulty)
-          | _ -> fail "bad committee %S (want family:size:f[:faulty])" s)
-      | _ -> fail "bad committee %S (want family:size:f[:faulty])" s
+          | _ -> die ~cmd "bad committee %S (want family:size:f[:faulty])" s)
+      | _ -> die ~cmd "bad committee %S (want family:size:f[:faulty])" s
     in
     let committees =
       List.map parse_committee (String.split_on_char ',' committees)
@@ -1630,11 +1496,11 @@ let committee_cmd =
         (fun s ->
           match int_of_string_opt (String.trim s) with
           | Some b when b >= 1 -> b
-          | _ -> fail "bad --batches entry %S" s)
+          | _ -> die ~cmd "bad --batches entry %S" s)
         (String.split_on_char ',' batches)
     in
-    if committees = [] || batches = [] then
-      fail "--committees and --batches must be non-empty";
+    require ~cmd (committees <> [] && batches <> [])
+      "--committees and --batches must be non-empty";
     (* cells in (committee, batch) order: batch is the inner axis so the
        unbatched baseline sits next to its batched counterpart *)
     let cells =
@@ -1666,7 +1532,7 @@ let committee_cmd =
       in
       (match Traffic.Workload.validate w with
       | Ok () -> ()
-      | Error e -> fail "cell %s:%d:%d batch %d: %s" fam size f batch e);
+      | Error e -> die ~cmd "cell %s:%d:%d batch %d: %s" fam size f batch e);
       w
     in
     let cells = Array.of_list cells in
@@ -1684,7 +1550,7 @@ let committee_cmd =
         (fun i -> function
           | Error (fl : Fleet.failure) ->
               let (fam, size, f, _), batch = cells.(i) in
-              fail "cell %s:%d:%d batch %d raised: %s" fam size f batch
+              die ~cmd "cell %s:%d:%d batch %d raised: %s" fam size f batch
                 fl.Fleet.message
           | Ok r -> r)
         outcomes
@@ -1710,7 +1576,7 @@ let committee_cmd =
         let cs =
           match r.Traffic.Load.committee_stats with
           | Some s -> s
-          | None -> fail "cell %s:%d:%d batch %d: no committee stats" fam size f batch
+          | None -> die ~cmd "cell %s:%d:%d batch %d: no committee stats" fam size f batch
         in
         if
           r.Traffic.Load.violations <> []
@@ -1752,13 +1618,9 @@ let committee_cmd =
             (fun acc (r : Traffic.Load.report) -> acc + r.Traffic.Load.events)
             0 reports
         in
-        let wall_ns = stats.Fleet.wall_ns in
-        Printf.bprintf buf
-          "],\"timing\":{\"wall_ns\":%d,\"domains\":%d,\"events_per_sec\":%d}}\n"
-          wall_ns stats.Fleet.domains
-          (int_of_float (float_of_int events /. (float_of_int wall_ns /. 1e9)));
+        Printf.bprintf buf "],%s}\n" (timing_json ~events stats);
         write_sink out (Buffer.contents buf));
-    write_sink metrics_out (Obsv.Prometheus.render Obsv.Metrics.default);
+    dump_telemetry ~metrics_out ~spans_out:None;
     if !clean then 0 else 1
   in
   let committees =
@@ -1794,7 +1656,6 @@ let committee_cmd =
             "Payments per cell, all arriving in one burst so batches can \
              fill.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows per payment.") in
   let patience =
     Arg.(
       value & opt int 100_000
@@ -1803,14 +1664,6 @@ let committee_cmd =
             "Admission-queue patience, ticks; generous because the burst \
              queues every payment at once.")
   in
-  let gst =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "gst" ]
-          ~doc:"Partial synchrony with this GST (default: synchronous).")
-  in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed (same for every cell).") in
   let out =
     Arg.(
       value
@@ -1828,37 +1681,23 @@ let committee_cmd =
           under a burst of payments and report certificate batching, \
           consensus rounds and decided-payment throughput")
     Term.(
-      const run $ committees $ batches $ pipeline $ payments $ hops $ patience
-      $ gst $ seed $ jobs_arg $ out $ metrics_out_arg)
+      const run $ committees $ batches $ pipeline $ payments
+      $ hops_arg ~cmd ~doc:"Escrows per payment." 2
+      $ patience $ gst_arg ()
+      $ seed_arg ~doc:"Run seed (same for every cell)." 1
+      $ jobs_arg $ out $ metrics_out_arg)
 
 (* -------------------------------- route -------------------------------- *)
 
 let route_cmd =
+  let cmd = "route" in
   let run spec value splits strategy rebalance json out metrics_out =
     let module RT = Routing.Topology in
     let module RR = Routing.Router in
-    let topo =
-      match RT.of_string spec with
-      | Ok t -> t
-      | Error e ->
-          Fmt.epr "xchain route: bad topology: %s@." e;
-          exit 2
-    in
-    let strat =
-      match RR.strategy_of_string strategy with
-      | Ok s -> s
-      | Error e ->
-          Fmt.epr "xchain route: bad --strategy: %s@." e;
-          exit 2
-    in
-    if value < 1 then begin
-      Fmt.epr "xchain route: --value must be positive@.";
-      exit 2
-    end;
-    if splits < 1 then begin
-      Fmt.epr "xchain route: --splits must be positive@.";
-      exit 2
-    end;
+    let topo = parse_arg ~cmd "topology" RT.of_string spec in
+    let strat = parse_arg ~cmd "--strategy" RR.strategy_of_string strategy in
+    require ~cmd (value >= 1) "--value must be positive";
+    require ~cmd (splits >= 1) "--splits must be positive";
     let avail e = RT.capacity topo.RT.edges.(e) in
     let flow = RR.max_flow topo () in
     let flow_str =
@@ -2006,6 +1845,7 @@ let route_cmd =
 (* ------------------------------- profile ------------------------------- *)
 
 let profile_cmd =
+  let cmd = "profile" in
   let run workload payments hops arrival mix protocol runs seed top out
       profile_out collapsed_out topology splits =
     let prof = Obsv.Prof.create ~now_ns:Fleet.now_ns () in
@@ -2017,29 +1857,20 @@ let profile_cmd =
              bucket, cross-linking profiles with xchain trace ids *)
           let causal = Obsv.Causal.create () in
           let workload =
-            let w = Traffic.Workload.default ~payments in
-            let parse what f s =
-              match f s with
-              | Ok v -> v
-              | Error e ->
-                  Fmt.epr "xchain profile: bad %s: %s@." what e;
-                  exit 2
-            in
             {
-              w with
+              (Traffic.Workload.default ~payments) with
               Traffic.Workload.hops;
               arrival =
-                parse "--arrival" Traffic.Workload.arrival_of_string arrival;
-              mix = parse "--mix" Traffic.Workload.mix_of_string mix;
+                parse_arg ~cmd "--arrival" Traffic.Workload.arrival_of_string
+                  arrival;
+              mix = parse_arg ~cmd "--mix" Traffic.Workload.mix_of_string mix;
               topology;
               splits;
             }
           in
           let report =
-            try Traffic.Load.run ~causal ~prof ~workload ~seed ()
-            with Invalid_argument e ->
-              Fmt.epr "xchain profile: %s@." e;
-              exit 2
+            surface_invalid ~cmd (fun () ->
+                Traffic.Load.run ~causal ~prof ~workload ~seed ())
           in
           Fmt.pr "%a@." Traffic.Load.pp_summary report;
           write_sink out (Traffic.Load.to_json report ^ "\n");
@@ -2049,10 +1880,8 @@ let profile_cmd =
           then 0
           else 1
       | "chaos" ->
-          let protocol = runner_protocol_of protocol in
-          let hops =
-            hops_of_topology ~cmd:"profile" ~value:1000 ~hops topology
-          in
+          let hops = hops_of_topology ~cmd ~value:1000 ~hops topology in
+          require ~cmd (runs >= 0) "--runs must be >= 0";
           let s =
             Xchain.Chaos.soak ~hops ~protocol ~runs ~seed ~prof
               ?on_progress:(tty_progress "profile chaos") ()
@@ -2060,27 +1889,18 @@ let profile_cmd =
           Fmt.pr "%a@." Xchain.Chaos.pp_summary s;
           write_sink out (Xchain.Chaos.summary_to_json ~hops ~protocol ~seed s);
           if s.Xchain.Chaos.violations = [] then 0 else 1
-      | "explore" -> (
-          let protocol = runner_protocol_of protocol in
-          let hops =
-            hops_of_topology ~cmd:"profile" ~value:1000 ~hops topology
+      | "explore" ->
+          let hops = hops_of_topology ~cmd ~value:1000 ~hops topology in
+          let r =
+            surface_invalid ~cmd (fun () ->
+                Xchain.Explore.sweep ~hops ~prof
+                  ?on_progress:(tty_progress "profile explore") ~protocol ())
           in
-          match
-            Xchain.Explore.sweep ~hops ~prof
-              ?on_progress:(tty_progress "profile explore") ~protocol ()
-          with
-          | exception Invalid_argument e ->
-              Fmt.epr "xchain profile: %s@." e;
-              exit 2
-          | r ->
-              Fmt.pr "explore: %d hops, %d corners — %d violations@." hops
-                r.Xchain.Explore.corners r.Xchain.Explore.violations;
-              write_sink out (Xchain.Explore.result_to_json ~hops ~protocol r);
-              if r.Xchain.Explore.violations = 0 then 0 else 1)
-      | other ->
-          Fmt.epr "xchain profile: unknown workload %S (load|chaos|explore)@."
-            other;
-          exit 2
+          Fmt.pr "explore: %d hops, %d corners — %d violations@." hops
+            r.Xchain.Explore.corners r.Xchain.Explore.violations;
+          write_sink out (Xchain.Explore.result_to_json ~hops ~protocol r);
+          if r.Xchain.Explore.violations = 0 then 0 else 1
+      | other -> die ~cmd "unknown workload %S (load|chaos|explore)" other
     in
     dump_prof ~top ~table:true (Some prof) ~profile_out ~collapsed_out;
     code
@@ -2098,7 +1918,6 @@ let profile_cmd =
     Arg.(value & opt int 1000
          & info [ "payments" ] ~doc:"Load: concurrent payment instances.")
   in
-  let hops = Arg.(value & opt int 2 & info [ "n"; "hops" ] ~doc:"Escrows.") in
   let arrival =
     Arg.(value & opt string "poisson:40"
          & info [ "arrival" ] ~docv:"PROC" ~doc:"Load: arrival process.")
@@ -2107,16 +1926,10 @@ let profile_cmd =
     Arg.(value & opt string "sync"
          & info [ "mix" ] ~docv:"MIX" ~doc:"Load: weighted protocol mix.")
   in
-  let protocol =
-    Arg.(value & opt protocol_conv `Sync
-         & info [ "p"; "protocol" ] ~docv:"PROTO"
-             ~doc:"Chaos/explore: protocol under test.")
-  in
   let runs =
     Arg.(value & opt int 200
          & info [ "runs" ] ~doc:"Chaos: number of random plans to run.")
   in
-  let seed = Arg.(value & opt int 1 & info [ "seed" ] ~doc:"Run seed.") in
   let top =
     Arg.(value & opt int 15
          & info [ "top" ] ~docv:"N" ~doc:"Rows in the hot-site table.")
@@ -2143,8 +1956,9 @@ let profile_cmd =
           (speedscope) exports. Deterministic modulo the strippable \
           timing/prof_timing blocks")
     Term.(
-      const run $ workload $ payments $ hops $ arrival $ mix $ protocol $ runs
-      $ seed $ top $ out $ profile_out_arg $ collapsed_out_arg
+      const run $ workload $ payments $ hops_arg ~cmd 2 $ arrival $ mix
+      $ runner_protocol_arg ~doc:"Chaos/explore: protocol under test." ()
+      $ runs $ seed_arg ~doc:"Run seed." 1 $ top $ out $ profile_out_arg $ collapsed_out_arg
       $ topology_arg
           ~extra:
             "Load: payments route over the graph's per-edge liquidity; \
@@ -2155,6 +1969,7 @@ let profile_cmd =
 (* -------------------------------- dot ---------------------------------- *)
 
 let dot_cmd =
+  let cmd = "dot" in
   let run hops who =
     let topo = Topology.create ~hops in
     let params = Params.derive (Params.default_input ~hops) in
@@ -2165,21 +1980,20 @@ let dot_cmd =
       | "bob" -> Sync_protocol.bob_automaton env
       | "escrow" -> Sync_protocol.escrow_automaton env 0
       | "chloe" ->
-          if hops < 2 then failwith "need >= 2 hops for a connector"
-          else Sync_protocol.connector_automaton env 1
-      | other -> failwith (Printf.sprintf "unknown automaton %S" other)
+          require ~cmd (hops >= 2) "need >= 2 hops for a connector";
+          Sync_protocol.connector_automaton env 1
+      | other -> die ~cmd "unknown automaton %S (alice | chloe | bob | escrow)" other
     in
     print_string (Anta.Automaton.to_dot auto);
     0
   in
-  let hops = Arg.(value & opt int 3 & info [ "n"; "hops" ] ~doc:"Escrows.") in
   let who =
     Arg.(value & pos 0 string "escrow"
          & info [] ~docv:"WHO" ~doc:"alice | chloe | bob | escrow.")
   in
   Cmd.v
     (Cmd.info "dot" ~doc:"Emit a Figure 2 automaton as Graphviz")
-    Term.(const run $ hops $ who)
+    Term.(const run $ hops_arg ~cmd 3 $ who)
 
 let () =
   let info =

@@ -188,37 +188,7 @@ let repro_line r =
 
 (* --------------------------- forensic bundle --------------------------- *)
 
-(* The tail of the causal DAG around the breach: node metadata for the
-   last 64 recorded nodes, plus totals, as an embeddable JSON object. *)
-let dag_slice_json c =
-  let n = Obsv.Causal.node_count c in
-  let first = max 0 (n - 64) in
-  let buf = Buffer.create 1024 in
-  Buffer.add_char buf '[';
-  for i = first to n - 1 do
-    if i > first then Buffer.add_char buf ',';
-    Buffer.add_string buf
-      (Printf.sprintf
-         "{\"id\":%d,\"kind\":\"%s\",\"pid\":%d,\"t\":%d,\"label\":\"%s\"}" i
-         (Obsv.Causal.kind_name (Obsv.Causal.kind_of c i))
-         (Obsv.Causal.pid_of c i) (Obsv.Causal.time_of c i)
-         (Obsv.Metrics.json_escape (Obsv.Causal.label_of c i)))
-  done;
-  Buffer.add_char buf ']';
-  Printf.sprintf "{\"nodes\":%d,\"edges\":%d,\"slice_from\":%d,\"slice\":%s}" n
-    (Obsv.Causal.edge_count c) first (Buffer.contents buf)
-
 let bundle ?causal ~monitor ~recorder r =
-  let reason, property, detail, at =
-    match Obsv.Monitor.first_trip monitor with
-    | Some tr ->
-        ( "violation",
-          tr.Obsv.Monitor.property,
-          tr.Obsv.Monitor.detail,
-          tr.Obsv.Monitor.at )
-    | None -> ("stuck", "-", "unsettled when the run stopped", r.end_time)
-  in
-  let dag = Option.map dag_slice_json causal in
   (* per-run figures, not the process-global registry: a bundle must be
      byte-identical whenever its (seed, plan) replays, even from a
      process that has already run other payments *)
@@ -229,8 +199,9 @@ let bundle ?causal ~monitor ~recorder r =
       (classification_name r.classification)
       r.end_time r.events (inj 0) (inj 1) (inj 2) (inj 3)
   in
-  Obsv.Recorder.bundle_json ~reason ~property ~detail ~at
-    ~repro:(repro_line r) ?dag ~metrics recorder
+  Obsv.Recorder.bundle_json ~monitor
+    ~stuck:("unsettled when the run stopped", r.end_time)
+    ~repro:(repro_line r) ?causal ~metrics recorder
 
 type summary = {
   runs : int;

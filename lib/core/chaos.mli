@@ -102,10 +102,6 @@ val repro_line : run_result -> string
 (** [xchain chaos -p PROTO --hops H --seed N --plan 'P' [--fault S@R]…] —
     replays this run exactly. *)
 
-val dag_slice_json : Obsv.Causal.t -> string
-(** The causal DAG's last (up to) 64 nodes as a JSON object — the slice a
-    forensic bundle embeds. Deterministic. *)
-
 val bundle :
   ?causal:Obsv.Causal.t ->
   monitor:Obsv.Monitor.t ->

@@ -53,13 +53,40 @@ let window_json t =
   Buffer.add_char buf ']';
   Buffer.contents buf
 
+(* The tail of the causal DAG around the breach: node metadata for the
+   last 64 recorded nodes, plus totals, as an embeddable JSON object. *)
+let dag_slice_json c =
+  let n = Causal.node_count c in
+  let first = max 0 (n - 64) in
+  let buf = Buffer.create 1024 in
+  Buffer.add_char buf '[';
+  for i = first to n - 1 do
+    if i > first then Buffer.add_char buf ',';
+    Buffer.add_string buf
+      (Printf.sprintf
+         "{\"id\":%d,\"kind\":\"%s\",\"pid\":%d,\"t\":%d,\"label\":\"%s\"}" i
+         (Causal.kind_name (Causal.kind_of c i))
+         (Causal.pid_of c i) (Causal.time_of c i)
+         (Metrics.json_escape (Causal.label_of c i)))
+  done;
+  Buffer.add_char buf ']';
+  Printf.sprintf "{\"nodes\":%d,\"edges\":%d,\"slice_from\":%d,\"slice\":%s}" n
+    (Causal.edge_count c) first (Buffer.contents buf)
+
 (* The forensic bundle: everything a human (or scripts/check_monitor.py)
-   needs to understand and replay one failed run. [dag] and [metrics] are
-   pre-rendered JSON fragments from the layers that own them; the bundle
-   itself is deterministic — replaying the one-line repro reproduces it
-   byte for byte. *)
-let bundle_json ~reason ~property ~detail ~at ~repro ?(dag = "null")
+   needs to understand and replay one failed run. The monitor's first
+   trip names the breach; a run that never tripped is reported stuck.
+   [metrics] is a pre-rendered JSON fragment from the layer that owns
+   it; the bundle itself is deterministic — replaying the one-line repro
+   reproduces it byte for byte. *)
+let bundle_json ~monitor ~stuck:(stuck_detail, stuck_at) ~repro ?causal
     ?(metrics = "null") t =
+  let reason, property, detail, at =
+    match Monitor.first_trip monitor with
+    | Some tr -> ("violation", tr.Monitor.property, tr.Monitor.detail, tr.Monitor.at)
+    | None -> ("stuck", "-", stuck_detail, stuck_at)
+  in
+  let dag = match causal with Some c -> dag_slice_json c | None -> "null" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     (Printf.sprintf

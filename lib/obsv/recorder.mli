@@ -43,18 +43,18 @@ val window_json : t -> string
 (** The window as a JSON array of entry objects. *)
 
 val bundle_json :
-  reason:string ->
-  property:string ->
-  detail:string ->
-  at:int ->
+  monitor:Monitor.t ->
+  stuck:string * int ->
   repro:string ->
-  ?dag:string ->
+  ?causal:Causal.t ->
   ?metrics:string ->
   t ->
   string
-(** Assemble the forensic bundle. [reason] is ["violation"] or
-    ["stuck"]; [property]/[detail]/[at] describe the first breach
-    ([at] is the exact sim-time the monitor first tripped); [repro] is
-    the one-line replay command; [dag] and [metrics] are pre-rendered
-    JSON fragments (defaults ["null"]). Deterministic: equal runs give
-    byte-identical bundles. *)
+(** Assemble the forensic bundle. The breach is the [monitor]'s first
+    trip (reason ["violation"], its property, detail and the exact
+    sim-time it tripped); a run whose monitor never tripped is reported
+    as reason ["stuck"], property ["-"], with the [stuck] (detail,
+    sim-time) pair. [repro] is the one-line replay command; [causal]
+    adds the DAG slice (its last 64 nodes, plus totals); [metrics] is a
+    pre-rendered JSON fragment. Missing parts render as [null].
+    Deterministic: equal runs give byte-identical bundles. *)
