@@ -17,8 +17,9 @@
    xchain metrics     — the telemetry catalogue / a probe-run exposition
 
    docs/observability.md tabulates which telemetry and observer flags
-   each subcommand takes. Every malformed input exits 2 with one
-   "xchain CMD: ..." line on stderr ([die]). *)
+   each subcommand takes. Every input a command rejects exits 2 with one
+   "xchain CMD: ..." line on stderr ([die]); a value cmdliner cannot
+   parse at all exits 124. *)
 
 open Cmdliner
 open Protocols
